@@ -224,8 +224,9 @@ fn bench_probe_kernels(c: &mut Criterion) {
 /// decoding varint/delta records off a byte stream sustains at least
 /// 80% of `run_refs` on a pre-materialised `Vec<MemRef>`.
 fn bench_trace_streaming(c: &mut Criterion) {
-    use cac_sim::replay::{run_cache_chunked, run_cache_refs};
-    use cac_trace::io::{write_trace_binary, BinaryTraceReader, DEFAULT_CHUNK_OPS};
+    use cac_sim::model::MemoryModel;
+    use cac_sim::sweep::Sweep;
+    use cac_trace::io::{write_trace_binary, BinaryTraceReader, OpRefSource, DEFAULT_CHUNK_OPS};
     use cac_trace::TraceOp;
 
     const OPS: u64 = 10_000_000;
@@ -247,18 +248,30 @@ fn bench_trace_streaming(c: &mut Criterion) {
         let mut cache = Cache::build(geom, IndexSpec::ipoly_skewed()).unwrap();
         b.iter(|| black_box(cache.run_refs(refs.iter().copied())))
     });
+    // Streaming replay runs through the one-model inline sweep, as
+    // `cac replay` does.
+    let one_cache = || -> Vec<Box<dyn MemoryModel>> {
+        vec![Box::new(
+            Cache::build(geom, IndexSpec::ipoly_skewed()).unwrap(),
+        )]
+    };
+    let sweep = Sweep::new().workers(1);
     group.bench_function("binary_stream", |b| {
-        let mut cache = Cache::build(geom, IndexSpec::ipoly_skewed()).unwrap();
+        let mut models = one_cache();
         b.iter(|| {
-            let mut reader = BinaryTraceReader::new(black_box(&bytes[..])).unwrap();
-            black_box(run_cache_refs(&mut cache, &mut reader).unwrap())
+            let reader = BinaryTraceReader::new(black_box(&bytes[..])).unwrap();
+            black_box(sweep.run_source(&mut models, reader).unwrap())
         })
     });
     group.bench_function("binary_stream_ops", |b| {
-        let mut cache = Cache::build(geom, IndexSpec::ipoly_skewed()).unwrap();
+        let mut models = one_cache();
         b.iter(|| {
             let reader = BinaryTraceReader::new(black_box(&bytes[..])).unwrap();
-            black_box(run_cache_chunked(&mut cache, reader, DEFAULT_CHUNK_OPS).unwrap())
+            black_box(
+                sweep
+                    .run_source(&mut models, OpRefSource::new(reader))
+                    .unwrap(),
+            )
         })
     });
     group.bench_function("binary_decode_only", |b| {
@@ -275,10 +288,10 @@ fn bench_trace_streaming(c: &mut Criterion) {
     // The fault-tolerance bar: on clean input, lenient decode must stay
     // within 10% of the strict streaming path above.
     group.bench_function("binary_stream_lenient", |b| {
-        let mut cache = Cache::build(geom, IndexSpec::ipoly_skewed()).unwrap();
+        let mut models = one_cache();
         b.iter(|| {
-            let mut reader = BinaryTraceReader::new_lenient(black_box(&bytes[..])).unwrap();
-            black_box(run_cache_refs(&mut cache, &mut reader).unwrap())
+            let reader = BinaryTraceReader::new_lenient(black_box(&bytes[..])).unwrap();
+            black_box(sweep.run_source(&mut models, reader).unwrap())
         })
     });
     group.finish();

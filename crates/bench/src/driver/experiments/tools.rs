@@ -11,12 +11,13 @@ use crate::driver::args::ExpArgs;
 use crate::driver::report::{Report, Table, Value};
 use crate::driver::DriverError;
 use cac_sim::cache::Cache;
-use cac_sim::replay::{run_cache_chunked, run_cache_source};
+use cac_sim::model::MemoryModel;
+use cac_sim::sweep::Sweep;
 use cac_trace::fault::{FaultSource, FaultSpec};
 use cac_trace::io::{
     read_trace, sniff_format, write_trace, write_trace_columnar, BinaryTraceReader,
     BinaryTraceWriter, ChunkSource, ColumnBytes, ColumnarTraceReader, ColumnarTraceWriter,
-    DecodeMode, RefSource, SkipReport, TraceFormat, DEFAULT_CHUNK_OPS,
+    DecodeMode, OpRefSource, RefSource, SkipReport, TraceFormat, DEFAULT_CHUNK_OPS,
 };
 use cac_trace::{MemRef, OpClass, TraceOp};
 use std::fs::File;
@@ -196,21 +197,9 @@ impl RefSource for AnySource {
             AnySource::Columnar(r) => r
                 .read_ref_chunk(out, max)
                 .map_err(|e| DriverError::Input(e.to_string())),
-            AnySource::Text(r) => {
-                out.clear();
-                let mut ops: Vec<TraceOp> = Vec::new();
-                while out.len() < max {
-                    let want = max - out.len();
-                    if ChunkSource::read_chunk(r, &mut ops, want)
-                        .map_err(|e| DriverError::Input(e.to_string()))?
-                        == 0
-                    {
-                        break;
-                    }
-                    out.extend(ops.iter().filter_map(TraceOp::mem_ref));
-                }
-                Ok(out.len())
-            }
+            AnySource::Text(r) => OpRefSource::new(r)
+                .read_ref_chunk(out, max)
+                .map_err(|e| DriverError::Input(e.to_string())),
         }
     }
 }
@@ -535,29 +524,18 @@ pub(super) fn replay(a: &ExpArgs) -> Result<Report, DriverError> {
     let geom = parse_geometry(a)?;
     let chunk = a.usize("chunk")?;
     let mode = parse_decode_mode(a.str("mode"))?;
-    let mut cache = Cache::build(geom, scheme.clone())?;
+    let mut models: Vec<Box<dyn MemoryModel>> = vec![Box::new(Cache::build(geom, scheme.clone())?)];
 
-    let source = AnySource::open_with_mode(trace, mode)?;
+    let mut source = AnySource::open_with_mode(trace, mode)?;
     let format = source.format();
     let start = Instant::now();
-    // Binary and columnar traces take the MemRef fast path; text
-    // streams go through the generic chunked op replay.
-    let mut skip = SkipReport::default();
-    let stats = match source {
-        AnySource::Binary(mut reader) => {
-            let stats = run_cache_source(&mut cache, &mut reader)
-                .map_err(|e| DriverError::Input(e.to_string()))?;
-            skip = reader.skipped();
-            stats
-        }
-        AnySource::Columnar(mut reader) => {
-            let stats = run_cache_source(&mut cache, &mut *reader)
-                .map_err(|e| DriverError::Input(e.to_string()))?;
-            skip = reader.skipped();
-            stats
-        }
-        text => run_cache_chunked(&mut cache, text, chunk)?,
-    };
+    let stats = Sweep::new()
+        .workers(1)
+        .chunk_ops(chunk)
+        .run_source(&mut models, &mut source)?
+        .remove(0)
+        .demand;
+    let skip = source.skipped();
     let elapsed = start.elapsed();
 
     let melem_s = stats.accesses as f64 / elapsed.as_secs_f64() / 1e6;

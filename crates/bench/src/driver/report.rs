@@ -4,8 +4,7 @@
 //! [`Table`]s plus free-form notes — instead of printing ad-hoc text.
 //! One report renders to all the output formats the `cac` CLI offers:
 //!
-//! * [`Report::to_text`] — aligned human-readable tables (the format the
-//!   retired per-experiment binaries printed);
+//! * [`Report::to_text`] — aligned human-readable tables;
 //! * [`Report::to_json`] — a machine-readable document for dashboards
 //!   and regression tooling;
 //! * [`Report::to_csv`] — flat rows for spreadsheets and plotting.

@@ -313,26 +313,14 @@ impl Processor {
                         continue;
                     };
                     // Store-buffer forwarding: an older store to the same
-                    // word whose address is resolved.
-                    let mut forwarded = false;
-                    let mut bypass_ok = true;
-                    for p2 in (0..pos).rev() {
-                        let older = &self.rob[p2];
-                        if older.op.class == OpClass::Store
+                    // word whose address is resolved. Older stores with
+                    // unresolved addresses are speculatively bypassed (ARB).
+                    let forwarded = self.rob.range(..pos).rev().any(|older| {
+                        older.op.class == OpClass::Store
                             && older.state == State::Issued
                             && older.completion <= self.cycle
                             && older.word == slot.word
-                        {
-                            forwarded = true;
-                            break;
-                        }
-                        // Unresolved store addresses are speculatively
-                        // bypassed (ARB): note and continue.
-                        if older.op.class == OpClass::Store && older.state == State::Waiting {
-                            bypass_ok = true;
-                        }
-                    }
-                    let _ = bypass_ok;
+                    });
                     let addr_ready = self.cycle + 1; // EA unit
                     let completion = if forwarded {
                         addr_ready + 1

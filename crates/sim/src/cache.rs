@@ -491,7 +491,7 @@ impl Cache {
     /// `for op { access(..) }` loop would produce.
     ///
     /// For traces too large to hold in memory, stream them instead with
-    /// [`crate::replay::run_cache`].
+    /// [`crate::sweep::Sweep::run_source`].
     ///
     /// # Example
     ///

@@ -20,7 +20,7 @@ use crate::vm::PageMapper;
 use cac_core::{CacheGeometry, Error, IndexSpec};
 use cac_trace::{MemRef, TraceOp};
 use std::collections::HashMap;
-use std::ops::{Add, Sub};
+use std::ops::Sub;
 
 /// Counters specific to the two-level hierarchy.
 ///
@@ -60,22 +60,6 @@ impl Sub for HierarchyStats {
     }
 }
 
-/// Field-wise sum, for accumulating streamed-replay chunk deltas.
-impl Add for HierarchyStats {
-    type Output = HierarchyStats;
-    fn add(self, rhs: HierarchyStats) -> HierarchyStats {
-        HierarchyStats {
-            inclusion_invalidations: self.inclusion_invalidations + rhs.inclusion_invalidations,
-            holes_created: self.holes_created + rhs.holes_created,
-            alias_invalidations: self.alias_invalidations + rhs.alias_invalidations,
-            external_invalidations_l1: self.external_invalidations_l1
-                + rhs.external_invalidations_l1,
-            external_invalidations_l2: self.external_invalidations_l2
-                + rhs.external_invalidations_l2,
-        }
-    }
-}
-
 /// Counters attributable to one batched replay
 /// ([`TwoLevelHierarchy::run_trace`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -86,18 +70,6 @@ pub struct HierarchyRun {
     pub l2: CacheStats,
     /// Hierarchy (hole/alias/inclusion) counters for the replayed trace.
     pub hierarchy: HierarchyStats,
-}
-
-/// Member-wise sum, for accumulating streamed-replay chunk deltas.
-impl Add for HierarchyRun {
-    type Output = HierarchyRun;
-    fn add(self, rhs: HierarchyRun) -> HierarchyRun {
-        HierarchyRun {
-            l1: self.l1 + rhs.l1,
-            l2: self.l2 + rhs.l2,
-            hierarchy: self.hierarchy + rhs.hierarchy,
-        }
-    }
 }
 
 /// What an external (bus) invalidation found in this node.

@@ -74,14 +74,14 @@
 //!   which return per-trace [`CacheStats`] deltas that are byte-identical
 //!   to an equivalent per-op loop (`crates/sim/tests/replay_equivalence.rs`
 //!   holds the guards);
-//! * on-disk traces stream through [`replay`], which refills a reused
-//!   chunk buffer from any `cac_trace::io::ChunkSource` (binary or text
-//!   reader) and drains it through the same batched path, so external
-//!   traces larger than memory replay at in-memory speed;
-//! * multi-configuration sweeps run through [`sweep`]: the reference
-//!   stream is decoded/generated **once** and broadcast to every model
-//!   ([`sweep::Sweep`]), and LRU modulus-indexed size × associativity
-//!   grids collapse into a single Mattson stack-distance traversal
+//! * traces — on disk, generated or in memory — replay through
+//!   [`sweep::Sweep`], which refills a reused chunk buffer from any
+//!   `cac_trace::io::RefSource` and drains it through the same batched
+//!   path, so external traces larger than memory replay at in-memory
+//!   speed. The stream is decoded/generated **once** and broadcast to
+//!   every model of a multi-configuration sweep;
+//! * LRU modulus-indexed size × associativity grids collapse into a
+//!   single Mattson stack-distance traversal
 //!   ([`sweep::LruStackSweep`]), optionally set-sampled.
 //!
 //! # Example
@@ -125,7 +125,6 @@ pub mod model;
 pub mod mshr;
 pub mod pagesize;
 pub mod replacement;
-pub mod replay;
 pub mod stack;
 pub mod stats;
 pub mod stream;
@@ -142,4 +141,4 @@ pub use hierarchy::TwoLevelHierarchy;
 pub use model::{AccessOutcome, MemoryModel, ModelStats, ServicePoint};
 pub use stack::{Hierarchy, HierarchyBuilder, LevelBuilder};
 pub use stats::CacheStats;
-pub use sweep::{sweep_refs, LruStackSweep, Sweep};
+pub use sweep::{LruStackSweep, Sweep};

@@ -12,8 +12,8 @@
 //!
 //! * [`Sweep`] — a chunk-broadcast replay engine. One producer refills
 //!   reusable reference chunks from a [`RefSource`] (a binary trace, a
-//!   text trace, a synthetic workload iterator) or walks an in-memory
-//!   slice, and each worker thread owns a *shard* of the model set, so
+//!   text trace, a synthetic workload iterator, an in-memory slice),
+//!   and each worker thread owns a *shard* of the model set, so
 //!   models stay cache-resident with their worker while a chunk is
 //!   replayed against all of them. Counters are byte-identical to
 //!   running each model alone (`crates/sim/tests/sweep_equivalence.rs`).
@@ -31,7 +31,7 @@
 //! use cac_core::{CacheGeometry, IndexSpec};
 //! use cac_sim::cache::Cache;
 //! use cac_sim::model::MemoryModel;
-//! use cac_sim::sweep::sweep_refs;
+//! use cac_sim::sweep::Sweep;
 //! use cac_trace::stride::VectorStride;
 //!
 //! let geom = CacheGeometry::new(8 * 1024, 32, 2)?;
@@ -46,7 +46,7 @@
 //! .into_iter()
 //! .map(|s| Ok(Box::new(Cache::build(geom, s)?) as Box<dyn MemoryModel>))
 //! .collect::<Result<_, cac_core::Error>>()?;
-//! let stats = sweep_refs(&mut models, &refs);
+//! let stats = Sweep::new().run_refs(&mut models, &refs);
 //! // The pathological stride thrashes modulo placement; skewed I-Poly
 //! // sees only the 64 compulsory misses.
 //! assert!(stats[0].demand.miss_ratio() > 0.9);
@@ -56,7 +56,7 @@
 
 use crate::model::{MemoryModel, ModelStats};
 use cac_core::Error;
-use cac_trace::io::{RefSource, DEFAULT_CHUNK_OPS};
+use cac_trace::io::{IterRefSource, RefSource, DEFAULT_CHUNK_OPS};
 use cac_trace::MemRef;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
@@ -65,9 +65,9 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
-/// Per-model result of an *isolated* sweep
-/// ([`Sweep::run_refs_isolated`] / [`Sweep::run_source_isolated`]):
-/// either the model's counter delta, or the reason its replay panicked.
+/// Per-model result of a sweep ([`Sweep::run_source_isolated`]): the
+/// model's counter delta, the reason its replay panicked, or the
+/// budget's cancellation.
 ///
 /// A failed model is quarantined from the first panic on — it sees no
 /// further references — and its partial counters are discarded; sibling
@@ -121,7 +121,7 @@ impl ModelOutcome {
     }
 }
 
-/// A replay budget for the panic-isolated sweep entry points, checked
+/// A replay budget for [`Sweep::run_source_isolated`], checked
 /// at chunk boundaries by the producer (a record-count watchdog — no
 /// signals, no threads killed mid-access).
 ///
@@ -163,11 +163,6 @@ impl SweepBudget {
             max_refs: None,
             max_secs: Some(max),
         }
-    }
-
-    /// True when no limit is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_refs.is_none() && self.max_secs.is_none()
     }
 
     fn exceeded(&self, fed: u64, started: Instant) -> bool {
@@ -255,10 +250,9 @@ impl Sweep {
         self
     }
 
-    /// Sets the replay budget, honored by the *isolated* entry points
-    /// ([`Sweep::run_refs_isolated`] / [`Sweep::run_source_isolated`]);
-    /// the non-isolated paths have no outcome channel to report a
-    /// cancellation through and ignore it.
+    /// Sets the replay budget, honored by [`Sweep::run_source_isolated`];
+    /// [`Sweep::run_refs`] and [`Sweep::run_source`] have no outcome
+    /// channel to report a cancellation through and ignore it.
     #[must_use]
     pub fn budget(mut self, budget: SweepBudget) -> Self {
         self.budget = budget;
@@ -276,12 +270,9 @@ impl Sweep {
         auto.min(models).max(1)
     }
 
-    /// Replays an in-memory reference slice against every model, with
-    /// the model set sharded across worker threads. Replay is
-    /// chunk-interleaved *within each shard* — every model of a shard
-    /// sees chunk *c* before any of them sees chunk *c + 1*, so the
-    /// chunk stays cache-resident across that shard's models (shards
-    /// advance through the slice independently of each other).
+    /// Replays an in-memory reference slice against every model: the
+    /// slice is fed to [`Sweep::run_source`] through an
+    /// [`IterRefSource`].
     ///
     /// Returns one per-model counter delta (`stats after - before`), in
     /// model order — exactly what `models[i].run_refs(refs)` alone
@@ -291,183 +282,69 @@ impl Sweep {
         models: &mut [Box<dyn MemoryModel>],
         refs: &[MemRef],
     ) -> Vec<ModelStats> {
-        let before: Vec<ModelStats> = models.iter().map(|m| m.stats()).collect();
-        let workers = self.effective_workers(models.len());
-        if workers <= 1 {
-            for chunk in refs.chunks(self.chunk_ops) {
-                for m in models.iter_mut() {
-                    m.run_refs(chunk);
-                }
-            }
-        } else {
-            let shard = models.len().div_ceil(workers);
-            thread::scope(|s| {
-                for shard in models.chunks_mut(shard) {
-                    s.spawn(move || {
-                        for chunk in refs.chunks(self.chunk_ops) {
-                            for m in shard.iter_mut() {
-                                m.run_refs(chunk);
-                            }
-                        }
-                    });
-                }
-            });
+        match self.run_source(models, IterRefSource::new(refs.iter().copied())) {
+            Ok(stats) => stats,
+            Err(never) => match never {},
         }
-        models
-            .iter()
-            .zip(before)
-            .map(|(m, b)| m.stats() - b)
-            .collect()
     }
 
-    /// Streams a [`RefSource`] through every model: the source is
-    /// decoded **once** into reusable chunks that are broadcast to the
-    /// worker threads, each of which owns a shard of the model set.
+    /// Streams a [`RefSource`] through every model with no budget, as
+    /// [`Sweep::run_source_isolated`] does.
     ///
     /// Returns per-model counter deltas as [`Sweep::run_refs`] does.
     ///
     /// # Errors
     ///
-    /// Propagates the source's decode/read errors. References broadcast
-    /// before the error remain applied to every model (and their
-    /// counters are included in the returned deltas).
+    /// Propagates the source's decode/read errors. Chunks replayed
+    /// before the error stay applied to every model.
+    ///
+    /// # Panics
+    ///
+    /// If a model panics, with that model's panic message, once the
+    /// stream has been replayed through its siblings.
     pub fn run_source<S: RefSource>(
         &self,
         models: &mut [Box<dyn MemoryModel>],
-        mut source: S,
+        source: S,
     ) -> Result<Vec<ModelStats>, S::Error> {
-        let before: Vec<ModelStats> = models.iter().map(|m| m.stats()).collect();
-        let workers = self.effective_workers(models.len());
-        let mut result = Ok(());
-        if workers <= 1 {
-            let mut buf = Vec::with_capacity(self.chunk_ops);
-            loop {
-                match source.read_ref_chunk(&mut buf, self.chunk_ops) {
-                    Ok(0) => break,
-                    Ok(_) => {
-                        for m in models.iter_mut() {
-                            m.run_refs(&buf);
-                        }
-                    }
-                    Err(e) => {
-                        result = Err(e);
-                        break;
-                    }
-                }
-            }
-        } else {
-            let shard = models.len().div_ceil(workers);
-            result = thread::scope(|s| {
-                // Bounded broadcast: each worker gets its own queue of
-                // Arc'd chunks; the bound keeps a slow shard from
-                // letting chunks pile up unboundedly.
-                let mut senders = Vec::new();
-                for shard in models.chunks_mut(shard) {
-                    let (tx, rx) = mpsc::sync_channel::<Arc<Vec<MemRef>>>(2);
-                    senders.push(tx);
-                    s.spawn(move || {
-                        for chunk in rx.iter() {
-                            for m in shard.iter_mut() {
-                                m.run_refs(&chunk);
-                            }
-                        }
-                    });
-                }
-                // Producer (this thread): refill a recycled buffer,
-                // broadcast it, reclaim buffers all workers are done
-                // with. `strong_count == 1` means only the producer's
-                // own handle is left, so the buffer can be reused
-                // without copying.
-                let mut in_flight: VecDeque<Arc<Vec<MemRef>>> = VecDeque::new();
-                loop {
-                    let recyclable = in_flight.front().is_some_and(|a| Arc::strong_count(a) == 1);
-                    let mut buf = if recyclable {
-                        Arc::try_unwrap(in_flight.pop_front().expect("checked"))
-                            .expect("sole owner")
-                    } else {
-                        Vec::with_capacity(self.chunk_ops)
-                    };
-                    match source.read_ref_chunk(&mut buf, self.chunk_ops) {
-                        Ok(0) => return Ok(()),
-                        Ok(_) => {
-                            let chunk = Arc::new(buf);
-                            for tx in &senders {
-                                // A receiver only disappears if its
-                                // worker panicked; the panic resurfaces
-                                // when the scope joins, so the drop is
-                                // ignored here.
-                                let _ = tx.send(chunk.clone());
-                            }
-                            in_flight.push_back(chunk);
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                // Senders drop here; workers drain their queues and
-                // exit, then the scope joins them.
-            });
-        }
-        let after: Vec<ModelStats> = models
-            .iter()
-            .zip(before)
-            .map(|(m, b)| m.stats() - b)
-            .collect();
-        result.map(|()| after)
+        let unlimited = Sweep {
+            budget: SweepBudget::unlimited(),
+            ..self.clone()
+        };
+        let outcomes = unlimited.run_source_isolated(models, source)?;
+        Ok(outcomes
+            .into_iter()
+            .map(|o| match o {
+                ModelOutcome::Completed(stats) => stats,
+                ModelOutcome::Failed { reason } => panic!("{reason}"),
+                ModelOutcome::Cancelled { .. } => unreachable!("an unlimited sweep never cancels"),
+            })
+            .collect())
     }
 
-    /// Panic-isolated [`Sweep::run_refs`]: each model's replay is
-    /// wrapped in [`std::panic::catch_unwind`], so one poisoned
-    /// configuration yields a [`ModelOutcome::Failed`] row instead of
-    /// tearing down the whole sweep. Completed models' deltas are
-    /// byte-identical to a non-isolated sweep.
-    pub fn run_refs_isolated(
-        &self,
-        models: &mut [Box<dyn MemoryModel>],
-        refs: &[MemRef],
-    ) -> Vec<ModelOutcome> {
-        // A budgeted sweep needs the streaming watchdog (shards of the
-        // slice path advance independently, so there is no single place
-        // to trip a budget); the wrap costs one copy per chunk.
-        if !self.budget.is_unlimited() {
-            use cac_trace::io::IterRefSource;
-            return match self.run_source_isolated(models, IterRefSource::new(refs.iter().copied()))
-            {
-                Ok(outcomes) => outcomes,
-                Err(never) => match never {},
-            };
-        }
-        let before: Vec<ModelStats> = models.iter().map(|m| m.stats()).collect();
-        let workers = self.effective_workers(models.len());
-        let mut poisoned: Vec<Option<String>> = vec![None; models.len()];
-        if workers <= 1 {
-            for chunk in refs.chunks(self.chunk_ops) {
-                replay_isolated(models, &mut poisoned, chunk);
-            }
-        } else {
-            let shard = models.len().div_ceil(workers);
-            thread::scope(|s| {
-                for (shard, poison) in models.chunks_mut(shard).zip(poisoned.chunks_mut(shard)) {
-                    s.spawn(move || {
-                        for chunk in refs.chunks(self.chunk_ops) {
-                            replay_isolated(shard, poison, chunk);
-                        }
-                    });
-                }
-            });
-        }
-        collect_outcomes(models, before, poisoned, None)
-    }
-
-    /// Panic-isolated [`Sweep::run_source`]: streams the source once,
-    /// catching per-model panics as [`ModelOutcome::Failed`] rows. When
-    /// a [`SweepBudget`] is set, the producer checks it at every chunk
-    /// boundary and cancels the whole sweep
-    /// ([`ModelOutcome::Cancelled`]) once it trips.
+    /// The replay engine: streams a [`RefSource`] through every model.
+    /// The source is decoded **once** into reusable chunks. With one
+    /// worker the chunks replay inline on the calling thread; otherwise
+    /// they are broadcast to worker threads, each of which owns a shard
+    /// of the model set. Every model of a shard sees chunk *c* before
+    /// any of them sees chunk *c + 1*, so the chunk stays cache-resident
+    /// across that shard's models.
+    ///
+    /// Each model's replay of each chunk runs under
+    /// [`std::panic::catch_unwind`], so one poisoned configuration
+    /// yields a [`ModelOutcome::Failed`] row instead of tearing down the
+    /// whole sweep; completed models' deltas are byte-identical to
+    /// replaying each model alone. When a [`SweepBudget`] is set, the
+    /// producer checks it at every chunk boundary and cancels the whole
+    /// sweep ([`ModelOutcome::Cancelled`]) once it trips.
     ///
     /// # Errors
     ///
     /// Propagates the source's decode/read errors (model panics are
-    /// *not* errors — they surface as `Failed` outcomes).
+    /// *not* errors — they surface as `Failed` outcomes). Whole chunks
+    /// delivered before the error stay applied to every model; the
+    /// chunk whose read failed is dropped, whatever the source left in
+    /// it.
     pub fn run_source_isolated<S: RefSource>(
         &self,
         models: &mut [Box<dyn MemoryModel>],
@@ -505,6 +382,9 @@ impl Sweep {
         } else {
             let shard = models.len().div_ceil(workers);
             result = thread::scope(|s| {
+                // Bounded broadcast: each worker gets its own queue of
+                // Arc'd chunks; the bound keeps a slow shard from
+                // letting chunks pile up unboundedly.
                 let mut senders = Vec::new();
                 for (shard, poison) in models.chunks_mut(shard).zip(poisoned.chunks_mut(shard)) {
                     let (tx, rx) = mpsc::sync_channel::<Arc<Vec<MemRef>>>(2);
@@ -515,6 +395,11 @@ impl Sweep {
                         }
                     });
                 }
+                // Producer (this thread): refill a recycled buffer,
+                // broadcast it, reclaim buffers all workers are done
+                // with. `strong_count == 1` means only the producer's
+                // own handle is left, so the buffer can be reused
+                // without copying.
                 let mut in_flight: VecDeque<Arc<Vec<MemRef>>> = VecDeque::new();
                 loop {
                     let recyclable = in_flight.front().is_some_and(|a| Arc::strong_count(a) == 1);
@@ -533,6 +418,10 @@ impl Sweep {
                             }
                             let chunk = Arc::new(buf);
                             for tx in &senders {
+                                // Workers catch model panics, so a
+                                // receiver only disappears on a bug in
+                                // the worker itself, which resurfaces
+                                // when the scope joins.
                                 let _ = tx.send(chunk.clone());
                             }
                             in_flight.push_back(chunk);
@@ -570,12 +459,6 @@ fn collect_outcomes(
             (None, None) => ModelOutcome::Completed(m.stats() - b),
         })
         .collect()
-}
-
-/// [`Sweep::run_refs`] with default settings — the one-liner the
-/// experiment drivers use.
-pub fn sweep_refs(models: &mut [Box<dyn MemoryModel>], refs: &[MemRef]) -> Vec<ModelStats> {
-    Sweep::new().run_refs(models, refs)
 }
 
 // ---------------------------------------------------------------------
@@ -932,11 +815,10 @@ mod tests {
 
     #[test]
     fn source_and_slice_paths_agree() {
-        use cac_trace::io::IterRefSource;
         let refs = mixed_refs(25_000);
         let specs = [IndexSpec::modulo(), IndexSpec::ipoly_skewed()];
         let mut by_slice = models(&specs);
-        let expect = sweep_refs(&mut by_slice, &refs);
+        let expect = Sweep::new().run_refs(&mut by_slice, &refs);
         for workers in [1usize, 3] {
             let mut by_source = models(&specs);
             let got = Sweep::new()
@@ -948,18 +830,27 @@ mod tests {
         }
     }
 
+    /// Runs the isolated engine over an in-memory slice.
+    fn isolated(
+        sweep: Sweep,
+        ms: &mut [Box<dyn MemoryModel>],
+        refs: &[MemRef],
+    ) -> Vec<ModelOutcome> {
+        match sweep.run_source_isolated(ms, IterRefSource::new(refs.iter().copied())) {
+            Ok(outcomes) => outcomes,
+            Err(never) => match never {},
+        }
+    }
+
     #[test]
     fn isolated_sweep_matches_plain_sweep_when_nothing_fails() {
         let refs = mixed_refs(20_000);
         let specs = [IndexSpec::modulo(), IndexSpec::ipoly_skewed()];
         let mut plain = models(&specs);
-        let expect = sweep_refs(&mut plain, &refs);
+        let expect = Sweep::new().run_refs(&mut plain, &refs);
         for workers in [1usize, 3] {
-            let mut isolated = models(&specs);
-            let got = Sweep::new()
-                .workers(workers)
-                .chunk_ops(977)
-                .run_refs_isolated(&mut isolated, &refs);
+            let mut ms = models(&specs);
+            let got = isolated(Sweep::new().workers(workers).chunk_ops(977), &mut ms, &refs);
             let got: Vec<&ModelStats> = got.iter().map(|o| o.stats().unwrap()).collect();
             assert_eq!(got, expect.iter().collect::<Vec<_>>(), "workers {workers}");
         }
@@ -968,22 +859,22 @@ mod tests {
     #[test]
     fn poisoned_model_degrades_without_touching_siblings() {
         use crate::model::PoisonModel;
-        use cac_trace::io::IterRefSource;
         let refs = mixed_refs(15_000);
         let specs = [IndexSpec::modulo(), IndexSpec::xor_skewed()];
         let mut healthy = models(&specs);
-        let expect = sweep_refs(&mut healthy, &refs);
+        let expect = Sweep::new().run_refs(&mut healthy, &refs);
 
         for workers in [1usize, 2, 4] {
-            // Slice path: poison sandwiched between healthy models.
+            // Poison sandwiched between healthy models.
             let mut mixed: Vec<Box<dyn MemoryModel>> = Vec::new();
             mixed.push(models(&specs[..1]).pop().unwrap());
             mixed.push(Box::new(PoisonModel::new(4_000)));
             mixed.push(models(&specs[1..]).pop().unwrap());
-            let outcomes = Sweep::new()
-                .workers(workers)
-                .chunk_ops(1013)
-                .run_refs_isolated(&mut mixed, &refs);
+            let outcomes = isolated(
+                Sweep::new().workers(workers).chunk_ops(1013),
+                &mut mixed,
+                &refs,
+            );
             assert_eq!(outcomes.len(), 3, "workers {workers}");
             assert_eq!(outcomes[0].stats(), Some(&expect[0]), "workers {workers}");
             assert!(outcomes[1].is_failed(), "workers {workers}");
@@ -993,20 +884,27 @@ mod tests {
                 outcomes[1].failure()
             );
             assert_eq!(outcomes[2].stats(), Some(&expect[1]), "workers {workers}");
+        }
+    }
 
-            // Streaming path: same quarantine guarantees.
-            let mut mixed: Vec<Box<dyn MemoryModel>> = Vec::new();
-            mixed.push(models(&specs[..1]).pop().unwrap());
-            mixed.push(Box::new(PoisonModel::new(4_000)));
-            mixed.push(models(&specs[1..]).pop().unwrap());
-            let outcomes = Sweep::new()
-                .workers(workers)
-                .chunk_ops(1013)
-                .run_source_isolated(&mut mixed, IterRefSource::new(refs.iter().copied()))
-                .unwrap();
-            assert_eq!(outcomes[0].stats(), Some(&expect[0]), "workers {workers}");
-            assert!(outcomes[1].is_failed(), "workers {workers}");
-            assert_eq!(outcomes[2].stats(), Some(&expect[1]), "workers {workers}");
+    #[test]
+    fn plain_sweep_re_raises_a_model_panic_with_its_reason() {
+        use crate::model::PoisonModel;
+        let refs = mixed_refs(100);
+        for workers in [1usize, 2] {
+            let mut ms: Vec<Box<dyn MemoryModel>> = vec![
+                models(&[IndexSpec::modulo()]).pop().unwrap(),
+                Box::new(PoisonModel::new(10)),
+            ];
+            let payload = panic::catch_unwind(AssertUnwindSafe(|| {
+                Sweep::new().workers(workers).run_refs(&mut ms, &refs)
+            }))
+            .expect_err("a poisoned model must panic a plain sweep");
+            let reason = panic_reason(payload);
+            assert!(
+                reason.contains("configured trigger 10"),
+                "workers {workers}: {reason}"
+            );
         }
     }
 
@@ -1015,24 +913,74 @@ mod tests {
         use crate::model::PoisonModel;
         let refs = mixed_refs(100);
         let mut ms: Vec<Box<dyn MemoryModel>> = vec![Box::new(PoisonModel::new(0))];
-        let outcomes = Sweep::new().workers(1).run_refs_isolated(&mut ms, &refs);
+        let outcomes = isolated(Sweep::new().workers(1), &mut ms, &refs);
         let reason = outcomes[0].failure().expect("must fail");
         assert!(reason.contains("configured trigger 0"), "{reason}");
     }
 
+    /// Delivers `good` whole chunks, then leaves a partial chunk in the
+    /// buffer and fails.
+    struct FailAfter<'a> {
+        refs: &'a [MemRef],
+        good: usize,
+    }
+
+    impl RefSource for FailAfter<'_> {
+        type Error = &'static str;
+
+        fn read_ref_chunk(
+            &mut self,
+            out: &mut Vec<MemRef>,
+            max: usize,
+        ) -> Result<usize, Self::Error> {
+            out.clear();
+            let n = self.refs.len().min(max);
+            if self.good == 0 {
+                out.extend_from_slice(&self.refs[..n / 2]);
+                return Err("decode failed");
+            }
+            self.good -= 1;
+            out.extend_from_slice(&self.refs[..n]);
+            self.refs = &self.refs[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn source_error_keeps_exactly_the_whole_chunks_read_before_it() {
+        let refs = mixed_refs(20_000);
+        let specs = [IndexSpec::modulo(), IndexSpec::ipoly_skewed()];
+        let (chunk, good) = (1000, 7);
+        let mut reference = models(&specs);
+        let expect: Vec<ModelStats> = reference
+            .iter_mut()
+            .map(|m| m.run_refs(&refs[..chunk * good]))
+            .collect();
+        for workers in [1usize, 2] {
+            let mut ms = models(&specs);
+            let source = FailAfter { refs: &refs, good };
+            let err = Sweep::new()
+                .workers(workers)
+                .chunk_ops(chunk)
+                .run_source_isolated(&mut ms, source)
+                .expect_err("the source error propagates");
+            assert_eq!(err, "decode failed");
+            let got: Vec<ModelStats> = ms.iter().map(|m| m.stats()).collect();
+            assert_eq!(got, expect, "workers {workers}");
+        }
+    }
+
     #[test]
     fn budget_cancels_all_models_deterministically() {
-        use cac_trace::io::IterRefSource;
         let refs = mixed_refs(50_000);
         let specs = [IndexSpec::modulo(), IndexSpec::ipoly_skewed()];
         for workers in [1usize, 3] {
-            let mut ms = models(&specs);
-            let outcomes = Sweep::new()
+            let budgeted = Sweep::new()
                 .workers(workers)
                 .chunk_ops(1000)
-                .budget(SweepBudget::refs(10_000))
-                .run_source_isolated(&mut ms, IterRefSource::new(refs.iter().copied()))
-                .unwrap();
+                .budget(SweepBudget::refs(10_000));
+            let mut ms = models(&specs);
+            let outcomes = isolated(budgeted.clone(), &mut ms, &refs);
             for o in &outcomes {
                 // Trips at the first chunk boundary at/after the limit.
                 assert_eq!(
@@ -1044,70 +992,63 @@ mod tests {
                 );
                 assert!(o.is_cancelled() && o.stats().is_none() && o.failure().is_none());
             }
-            // Slice path delegates to the same watchdog.
+            // The plain entry points ignore the budget.
             let mut ms = models(&specs);
-            let outcomes = Sweep::new()
-                .workers(workers)
-                .chunk_ops(1000)
-                .budget(SweepBudget::refs(10_000))
-                .run_refs_isolated(&mut ms, &refs);
-            assert!(outcomes.iter().all(|o| o
-                == &ModelOutcome::Cancelled {
-                    refs_replayed: 10_000
-                }));
+            let stats = budgeted.run_refs(&mut ms, &refs);
+            assert!(stats.iter().all(|s| s.demand.accesses == 50_000));
         }
     }
 
     #[test]
     fn budget_larger_than_stream_is_a_normal_completion() {
-        use cac_trace::io::IterRefSource;
         let refs = mixed_refs(5_000);
         let specs = [IndexSpec::modulo(), IndexSpec::xor_skewed()];
         let mut plain = models(&specs);
-        let expect = sweep_refs(&mut plain, &refs);
+        let expect = Sweep::new().run_refs(&mut plain, &refs);
         let mut ms = models(&specs);
-        let outcomes = Sweep::new()
-            .workers(1)
-            .budget(SweepBudget::refs(1_000_000))
-            .run_source_isolated(&mut ms, IterRefSource::new(refs.iter().copied()))
-            .unwrap();
+        let outcomes = isolated(
+            Sweep::new().workers(1).budget(SweepBudget::refs(1_000_000)),
+            &mut ms,
+            &refs,
+        );
         let got: Vec<&ModelStats> = outcomes.iter().map(|o| o.stats().unwrap()).collect();
         assert_eq!(got, expect.iter().collect::<Vec<_>>());
         // A stream ending exactly at the budget also completes.
         let mut ms = models(&specs);
-        let outcomes = Sweep::new()
-            .workers(1)
-            .chunk_ops(1000)
-            .budget(SweepBudget::refs(5_000))
-            .run_source_isolated(&mut ms, IterRefSource::new(refs.iter().copied()))
-            .unwrap();
+        let outcomes = isolated(
+            Sweep::new()
+                .workers(1)
+                .chunk_ops(1000)
+                .budget(SweepBudget::refs(5_000)),
+            &mut ms,
+            &refs,
+        );
         assert!(outcomes.iter().all(|o| o.stats().is_some()));
     }
 
     #[test]
     fn poison_before_budget_trip_stays_failed() {
         use crate::model::PoisonModel;
-        use cac_trace::io::IterRefSource;
         let refs = mixed_refs(20_000);
         let mut ms: Vec<Box<dyn MemoryModel>> = vec![
             Box::new(PoisonModel::new(100)),
             models(&[IndexSpec::modulo()]).pop().unwrap(),
         ];
-        let outcomes = Sweep::new()
-            .workers(1)
-            .chunk_ops(1000)
-            .budget(SweepBudget::refs(5_000))
-            .run_source_isolated(&mut ms, IterRefSource::new(refs.iter().copied()))
-            .unwrap();
+        let outcomes = isolated(
+            Sweep::new()
+                .workers(1)
+                .chunk_ops(1000)
+                .budget(SweepBudget::refs(5_000)),
+            &mut ms,
+            &refs,
+        );
         assert!(outcomes[0].is_failed());
         assert!(outcomes[1].is_cancelled());
     }
 
     #[test]
     fn budget_constructors() {
-        assert!(SweepBudget::unlimited().is_unlimited());
-        assert!(!SweepBudget::refs(5).is_unlimited());
-        assert!(!SweepBudget::secs(0.5).is_unlimited());
+        assert_eq!(SweepBudget::unlimited(), SweepBudget::default());
         assert_eq!(SweepBudget::refs(5).max_refs, Some(5));
         assert_eq!(SweepBudget::secs(2.0).max_secs, Some(2.0));
     }
@@ -1115,11 +1056,10 @@ mod tests {
     #[test]
     fn empty_inputs_are_no_ops() {
         let mut ms = models(&[IndexSpec::modulo()]);
-        let stats = sweep_refs(&mut ms, &[]);
+        let stats = Sweep::new().run_refs(&mut ms, &[]);
         assert_eq!(stats[0].demand.accesses, 0);
-        let none: Vec<Box<dyn MemoryModel>> = Vec::new();
-        let mut none = none;
-        assert!(sweep_refs(&mut none, &mixed_refs(10)).is_empty());
+        let mut none: Vec<Box<dyn MemoryModel>> = Vec::new();
+        assert!(Sweep::new().run_refs(&mut none, &mixed_refs(10)).is_empty());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Equivalence guards for the hot-path overhaul:
 //!
-//! 1. The batched replay API ([`Cache::run_trace`]/`run_refs`) produces
-//!    **byte-identical** `CacheStats` to the per-op access loop.
+//! 1. The batched replay API ([`Cache::run_trace`]/`run_refs`) and the
+//!    streaming replay engine (`Sweep`) produce **byte-identical**
+//!    `CacheStats` to the per-op access loop.
 //! 2. The LUT-compiled access path produces **bit-identical** miss
 //!    behaviour to the pre-refactor computed path (dynamic dispatch on
 //!    every probe), verified by wrapping each placement in an opaque
@@ -11,12 +12,15 @@
 use cac_core::{CacheGeometry, IndexFunction, IndexSpec};
 use cac_sim::cache::Cache;
 use cac_sim::hierarchy::TwoLevelHierarchy;
+use cac_sim::model::{AccessOutcome, MemoryModel, ModelStats};
 use cac_sim::replacement::ReplacementPolicy;
+use cac_sim::sweep::Sweep;
 use cac_sim::vm::PageMapper;
 use cac_trace::kernels::mem_refs;
 use cac_trace::spec::SpecBenchmark;
 use cac_trace::stride::VectorStride;
-use std::sync::Arc;
+use cac_trace::MemRef;
+use std::sync::{Arc, Mutex};
 
 /// Delegating wrapper that hides the inner function's structure
 /// (`input_bits` stays at the conservative default), so
@@ -158,52 +162,127 @@ fn hierarchy_batched_replay_matches_per_op_loop() {
     }
 }
 
+/// A model handle the sweep can own while the test keeps reading the
+/// concrete model (resident blocks, inclusion) afterwards.
+struct Shared<M>(Arc<Mutex<M>>);
+
+impl<M: MemoryModel> Shared<M> {
+    fn boxed(model: &Arc<Mutex<M>>) -> Box<dyn MemoryModel>
+    where
+        M: 'static,
+    {
+        Box::new(Shared(Arc::clone(model)))
+    }
+}
+
+impl<M: MemoryModel> MemoryModel for Shared<M> {
+    fn access(&mut self, r: MemRef) -> AccessOutcome {
+        self.0.lock().unwrap().access(r)
+    }
+    fn stats(&self) -> ModelStats {
+        self.0.lock().unwrap().stats()
+    }
+    fn reset(&mut self) {
+        self.0.lock().unwrap().reset()
+    }
+    fn describe(&self) -> String {
+        self.0.lock().unwrap().describe()
+    }
+    fn run_refs(&mut self, refs: &[MemRef]) -> ModelStats {
+        self.0.lock().unwrap().run_refs(refs)
+    }
+}
+
+fn two_level() -> TwoLevelHierarchy {
+    TwoLevelHierarchy::new(
+        paper_geom(),
+        IndexSpec::ipoly_skewed(),
+        CacheGeometry::new(64 * 1024, 32, 2).unwrap(),
+        IndexSpec::modulo(),
+        PageMapper::randomized(4096, 1 << 26, 3),
+    )
+    .unwrap()
+}
+
 #[test]
 fn binary_streaming_replay_is_byte_identical_to_in_memory() {
-    use cac_sim::replay::{run_cache_chunked, run_hierarchy_chunked};
     use cac_trace::io::{write_trace_binary, BinaryTraceReader};
 
     for bench in [SpecBenchmark::Tomcatv, SpecBenchmark::Gcc] {
         let ops: Vec<_> = bench.generator(13).take(50_000).collect();
         let bytes = write_trace_binary(Vec::new(), ops.iter().copied()).unwrap();
-
-        // Single-level cache: identical counters AND identical contents,
-        // regardless of the chunk size the stream is fed in.
         let mut reference = Cache::build(paper_geom(), IndexSpec::ipoly_skewed()).unwrap();
         let expect = reference.run_trace(ops.iter().copied());
-        for chunk in [1usize, 777, 1 << 15] {
-            let mut streamed = Cache::build(paper_geom(), IndexSpec::ipoly_skewed()).unwrap();
+        let mut in_memory = two_level();
+        let expect_h = in_memory.run_trace(ops.iter().copied());
+
+        for chunk in [1usize, 7, 1024, 1 << 20] {
+            let sweep = Sweep::new().workers(1).chunk_ops(chunk);
+
+            // Single-level cache: identical counters AND identical
+            // contents, regardless of the chunk size the stream is fed in.
+            let streamed = Arc::new(Mutex::new(
+                Cache::build(paper_geom(), IndexSpec::ipoly_skewed()).unwrap(),
+            ));
             let reader = BinaryTraceReader::new(&bytes[..]).unwrap();
-            let got = run_cache_chunked(&mut streamed, reader, chunk).unwrap();
-            assert_eq!(got, expect, "{} chunk {chunk}", bench.name());
+            let got = sweep
+                .run_source(&mut [Shared::boxed(&streamed)], reader)
+                .unwrap();
+            assert_eq!(got[0].demand, expect, "{} chunk {chunk}", bench.name());
             let mut ra: Vec<u64> = reference.resident_blocks().collect();
-            let mut rb: Vec<u64> = streamed.resident_blocks().collect();
+            let mut rb: Vec<u64> = streamed.lock().unwrap().resident_blocks().collect();
             ra.sort_unstable();
             rb.sort_unstable();
             assert_eq!(ra, rb, "{} contents diverge at chunk {chunk}", bench.name());
-        }
 
-        // Two-level hierarchy: streamed run equals the in-memory run.
-        let l1 = paper_geom();
-        let l2 = CacheGeometry::new(64 * 1024, 32, 2).unwrap();
-        let build = || {
-            TwoLevelHierarchy::new(
-                l1,
-                IndexSpec::ipoly_skewed(),
-                l2,
-                IndexSpec::modulo(),
-                PageMapper::randomized(4096, 1 << 26, 3),
-            )
-            .unwrap()
-        };
-        let mut in_memory = build();
-        let expect = in_memory.run_trace(ops.iter().copied());
-        let mut streamed = build();
-        let reader = BinaryTraceReader::new(&bytes[..]).unwrap();
-        let got = run_hierarchy_chunked(&mut streamed, reader, 1024).unwrap();
-        assert_eq!(got.l1, expect.l1, "{}", bench.name());
-        assert_eq!(got.l2, expect.l2, "{}", bench.name());
-        assert_eq!(got.hierarchy, expect.hierarchy, "{}", bench.name());
-        assert!(streamed.check_inclusion());
+            // Two-level hierarchy: streamed run equals the in-memory run.
+            let streamed = Arc::new(Mutex::new(two_level()));
+            let reader = BinaryTraceReader::new(&bytes[..]).unwrap();
+            let got = sweep
+                .run_source(&mut [Shared::boxed(&streamed)], reader)
+                .unwrap()
+                .remove(0);
+            assert_eq!(
+                got.components[0].stats,
+                expect_h.l1,
+                "{} chunk {chunk}",
+                bench.name()
+            );
+            assert_eq!(
+                got.components[1].stats,
+                expect_h.l2,
+                "{} chunk {chunk}",
+                bench.name()
+            );
+            // The extras carry every hierarchy counter.
+            assert_eq!(
+                got,
+                MemoryModel::stats(&in_memory),
+                "{} chunk {chunk}",
+                bench.name()
+            );
+            assert!(streamed.lock().unwrap().check_inclusion());
+        }
     }
+}
+
+#[test]
+fn ref_fast_path_matches_op_path() {
+    use cac_trace::io::{write_trace_binary, BinaryTraceReader, OpRefSource};
+    let ops: Vec<_> = SpecBenchmark::Swim.generator(11).take(30_000).collect();
+    let bytes = write_trace_binary(Vec::new(), ops.iter().copied()).unwrap();
+    let cache = || -> Vec<Box<dyn MemoryModel>> {
+        vec![Box::new(
+            Cache::build(paper_geom(), IndexSpec::ipoly_skewed()).unwrap(),
+        )]
+    };
+    let (mut via_ops, mut via_refs) = (cache(), cache());
+    let reader = BinaryTraceReader::new(&bytes[..]).unwrap();
+    let a = Sweep::new()
+        .run_source(&mut via_ops, OpRefSource::new(reader))
+        .unwrap();
+    let reader = BinaryTraceReader::new(&bytes[..]).unwrap();
+    let b = Sweep::new().run_source(&mut via_refs, reader).unwrap();
+    assert_eq!(a, b);
+    assert_eq!(via_ops[0].stats(), via_refs[0].stats());
 }

@@ -78,8 +78,8 @@ use std::io::Read;
 ///
 /// This is the glue between trace storage and the simulators' batched
 /// replay loops: implementors refill a reusable buffer (no per-op
-/// allocation, no per-op `Result`), and consumers like
-/// `cac_sim::replay::run_cache` drain it through `Cache::run_trace`.
+/// allocation, no per-op `Result`), and [`OpRefSource`] projects the
+/// ops onto the [`RefSource`] stream the replay engine consumes.
 ///
 /// Implementations are provided for the binary reader
 /// ([`BinaryTraceReader`]), the text reader ([`ReadTrace`]) and
@@ -95,6 +95,16 @@ pub trait ChunkSource {
     ///
     /// Propagates decode/read errors from the source.
     fn read_chunk(&mut self, out: &mut Vec<TraceOp>, max: usize) -> Result<usize, Self::Error>;
+}
+
+/// Mutable references forward, so a borrowed source can be wrapped
+/// (in an [`OpRefSource`], say) while the caller keeps ownership.
+impl<S: ChunkSource + ?Sized> ChunkSource for &mut S {
+    type Error = S::Error;
+
+    fn read_chunk(&mut self, out: &mut Vec<TraceOp>, max: usize) -> Result<usize, Self::Error> {
+        (**self).read_chunk(out, max)
+    }
 }
 
 /// Default chunk length used by streaming replay loops: large enough to
@@ -183,7 +193,9 @@ pub trait RefSource {
     ///
     /// # Errors
     ///
-    /// Propagates decode/read errors from the source.
+    /// Propagates decode/read errors from the source. On error the
+    /// contents of `out` are unspecified: consumers must not replay
+    /// them.
     fn read_ref_chunk(&mut self, out: &mut Vec<MemRef>, max: usize) -> Result<usize, Self::Error>;
 }
 
