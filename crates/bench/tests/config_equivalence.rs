@@ -21,6 +21,8 @@ use cac_sim::cache::Cache;
 use cac_sim::column::{ColumnAssociative, RehashKind};
 use cac_sim::hierarchy::TwoLevelHierarchy;
 use cac_sim::jouppi::JouppiCache;
+use cac_sim::model::{extra, ComponentStats, ModelStats};
+use cac_sim::stats::CacheStats;
 use cac_sim::victim::VictimCache;
 use cac_sim::vm::PageMapper;
 use cac_sim::SimConfig;
@@ -255,4 +257,89 @@ fn config_validate_accepts_all_shipped_configs_and_rejects_rot() {
         "{got:?}"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The demand counters of a read-only organization: every read counted,
+/// hits serviced anywhere before memory, nothing else touched.
+fn reads_only(accesses: u64, misses: u64) -> CacheStats {
+    CacheStats {
+        accesses,
+        hits: accesses - misses,
+        misses,
+        reads: accesses,
+        read_misses: misses,
+        ..CacheStats::default()
+    }
+}
+
+/// One pinned report: config file, component name, `describe()`, read
+/// misses, and every extra in order.
+type Pin = (
+    &'static str,
+    &'static str,
+    &'static str,
+    u64,
+    &'static [(&'static str, u64)],
+);
+
+/// The `[victim]`, `[stream]` and `[jouppi]` report shapes, pinned to
+/// the literals the dedicated organization types produced on the mixed
+/// read/write tomcatv workload: demand, the one named component, every
+/// extra in order, and `describe()`.
+#[test]
+fn read_only_organizations_keep_their_report_shape() {
+    let refs = workload(40_000);
+    let cases: [Pin; 3] = [
+        (
+            "victim.toml",
+            "victim",
+            "victim cache: 8KB 1-way 32B-block (256 sets) + 4-line fully-associative buffer",
+            5314,
+            &[
+                ("main-hits", 7416),
+                ("victim-hits", 7271),
+                ("stores-bypassed", 2222),
+            ],
+        ),
+        (
+            "stream_buffers.toml",
+            "stream",
+            "8KB 1-way 32B-block (256 sets), a1 placement + 4x4 stream buffers",
+            12585,
+            &[
+                ("cache-hits", 7416),
+                ("stream-hits", 0),
+                ("flushed-unused", 50324),
+                ("stores-bypassed", 2222),
+            ],
+        ),
+        (
+            "jouppi.toml",
+            "jouppi",
+            "Jouppi organization: 8KB 1-way 32B-block (256 sets) + 4-line victim buffer + \
+             4x4 stream buffers",
+            4018,
+            &[
+                ("main-hits", 7416),
+                ("victim-hits", 7271),
+                ("stream-hits", 1296),
+                ("stores-bypassed", 2222),
+            ],
+        ),
+    ];
+    for (file, component, describe, misses, extras) in cases {
+        let mut model = SimConfig::load(&example(file)).unwrap().build().unwrap();
+        assert_eq!(model.describe(), describe, "{file}");
+        model.run_refs(&refs);
+        let demand = reads_only(20_001, misses);
+        let expect = ModelStats {
+            demand,
+            components: vec![ComponentStats {
+                name: component.to_owned(),
+                stats: demand,
+            }],
+            extras: extras.iter().map(|&(n, v)| extra(n, v)).collect(),
+        };
+        assert_eq!(model.stats(), expect, "{file}");
+    }
 }
