@@ -17,8 +17,9 @@ use crate::{arithmetic_mean, std_dev};
 use cac_core::{parse_size, CacheGeometry, IndexSpec};
 use cac_sim::cache::Cache;
 use cac_sim::column::RehashKind;
-use cac_sim::config::{ColumnConfig, JouppiConfig, ModelConfig, StreamConfig, VictimConfig};
+use cac_sim::config::{CacheConfig, ColumnConfig, LevelConfig, ModelConfig};
 use cac_sim::model::{MemoryModel, ModelStats};
+use cac_sim::stack::SidecarSection;
 use cac_sim::sweep::{LruStackSweep, Sweep};
 use cac_sim::SimConfig;
 use cac_trace::kernels::mem_refs;
@@ -118,16 +119,25 @@ pub fn organization_matrix() -> Vec<(&'static str, SimConfig)> {
     let w2 = paper_l1();
     let w4 = CacheGeometry::new(8 * 1024, 32, 4).expect("geometry");
     let fa = CacheGeometry::fully_associative(8 * 1024, 32).expect("geometry");
+    // Jouppi's organizations: the direct-mapped cache with 4 victim
+    // lines and/or 4x4 stream buffers.
+    let sidecar = |section, victim_lines, stream| {
+        SimConfig::new(ModelConfig::Sidecar {
+            section,
+            level: LevelConfig {
+                victim_lines,
+                stream,
+                ..LevelConfig::new(CacheConfig::new(dm, IndexSpec::modulo()))
+            },
+        })
+    };
     vec![
         ("direct-mapped", SimConfig::cache(dm, IndexSpec::modulo())),
         ("2-way set-assoc", SimConfig::cache(w2, IndexSpec::modulo())),
         ("4-way set-assoc", SimConfig::cache(w4, IndexSpec::modulo())),
         (
             "victim (DM + 4 lines)",
-            SimConfig::new(ModelConfig::Victim(VictimConfig {
-                geometry: dm,
-                victim_lines: 4,
-            })),
+            sidecar(SidecarSection::Victim, Some(4), None),
         ),
         (
             "hash-rehash (bit flip)",
@@ -145,21 +155,11 @@ pub fn organization_matrix() -> Vec<(&'static str, SimConfig)> {
         ),
         (
             "stream buffers (DM + 4x4)",
-            SimConfig::new(ModelConfig::Stream(StreamConfig {
-                geometry: dm,
-                index: IndexSpec::modulo(),
-                buffers: 4,
-                depth: 4,
-            })),
+            sidecar(SidecarSection::Stream, None, Some((4, 4))),
         ),
         (
             "Jouppi (DM + victim + stream)",
-            SimConfig::new(ModelConfig::Jouppi(JouppiConfig {
-                geometry: dm,
-                victim_lines: 4,
-                stream_buffers: 4,
-                stream_depth: 4,
-            })),
+            sidecar(SidecarSection::Jouppi, Some(4), Some((4, 4))),
         ),
         (
             "2-way skewed XOR",

@@ -1,6 +1,6 @@
 //! Equivalence guards for the declarative config layer.
 //!
-//! Three claims are load-bearing:
+//! Four claims are load-bearing:
 //!
 //! 1. every organization in the paper's §2.1/§4 comparison matrix is
 //!    expressible as a **shipped** `examples/*.toml` config, and the
@@ -13,6 +13,9 @@
 //!    experiment;
 //! 3. the shipped virtual-real hierarchy config reproduces a hand-built
 //!    [`TwoLevelHierarchy`] access for access.
+//! 4. the `[victim]`, `[stream]` and `[jouppi]` sections keep their
+//!    report shape — component name, demand counters, extras in order
+//!    and `describe()` — pinned to literals on mixed read/write traffic.
 
 use cac_bench::driver::experiments::organization_matrix;
 use cac_bench::driver::{self};
@@ -20,10 +23,9 @@ use cac_core::{CacheGeometry, IndexSpec};
 use cac_sim::cache::Cache;
 use cac_sim::column::{ColumnAssociative, RehashKind};
 use cac_sim::hierarchy::TwoLevelHierarchy;
-use cac_sim::jouppi::JouppiCache;
-use cac_sim::model::{extra, ComponentStats, ModelStats};
+use cac_sim::model::{extra, ComponentStats, MemoryModel, ModelStats};
+use cac_sim::stack::{Hierarchy, LevelBuilder};
 use cac_sim::stats::CacheStats;
-use cac_sim::victim::VictimCache;
 use cac_sim::vm::PageMapper;
 use cac_sim::SimConfig;
 use cac_trace::kernels::mem_refs;
@@ -100,11 +102,14 @@ fn configs_reproduce_the_hand_wired_measurement_loops() {
     assert_eq!(model.stats().demand, cache.stats());
 
     // Victim cache: the retired loop skipped writes entirely.
-    let mut victim = VictimCache::new(dm, 4).unwrap();
+    let mut victim = Hierarchy::builder()
+        .level(LevelBuilder::new(dm).victim_buffer(4))
+        .build()
+        .unwrap();
     let (mut reads, mut misses) = (0u64, 0u64);
     for r in refs.iter().filter(|r| !r.is_write) {
         reads += 1;
-        if !victim.read(r.addr).hit() {
+        if !victim.read(r.addr).hit {
             misses += 1;
         }
     }
@@ -134,10 +139,11 @@ fn configs_reproduce_the_hand_wired_measurement_loops() {
     assert_eq!((d.reads, d.read_misses), (reads, misses), "column");
 
     // The full Jouppi organization.
-    let mut jouppi = JouppiCache::new(dm, 4, 4, 4).unwrap();
-    let mut reads = 0u64;
+    let mut jouppi = Hierarchy::builder()
+        .level(LevelBuilder::new(dm).victim_buffer(4).stream_buffers(4, 4))
+        .build()
+        .unwrap();
     for r in refs.iter().filter(|r| !r.is_write) {
-        reads += 1;
         jouppi.read(r.addr);
     }
     let mut model = SimConfig::load(&example("jouppi.toml"))
@@ -145,19 +151,20 @@ fn configs_reproduce_the_hand_wired_measurement_loops() {
         .build()
         .unwrap();
     model.run_refs(&refs);
-    let d = model.stats().demand;
+    let (d, hand) = (model.stats().demand, jouppi.demand_stats());
     assert_eq!(
         (d.reads, d.read_misses),
-        (reads, jouppi.stats().full_misses),
+        (hand.reads, hand.misses),
         "jouppi"
     );
+    let hand = MemoryModel::stats(&jouppi);
     assert_eq!(
         model.stats().extra("victim-hits"),
-        Some(jouppi.stats().victim_hits)
+        hand.extra("l1-victim-hits")
     );
     assert_eq!(
         model.stats().extra("stream-hits"),
-        Some(jouppi.stats().stream_hits)
+        hand.extra("l1-stream-hits")
     );
 }
 

@@ -3,9 +3,9 @@
 //!
 //! Several structures in this crate are fully associative — the
 //! degenerate one-set [`crate::cache::Cache`] geometry the paper's
-//! miss-ratio comparisons use as their reference curve, the victim
-//! buffers of Jouppi's organization, and a TLB configured with as many
-//! ways as entries. Probing them by scanning every way costs O(ways)
+//! miss-ratio comparisons use as their reference curve, victim buffers
+//! larger than Jouppi's few lines ([`VictimQueue`]), and a TLB
+//! configured with as many ways as entries. Probing them by scanning every way costs O(ways)
 //! per access, and victim selection by scanning every stamp costs
 //! another O(ways); for the 256-line fully-associative 8KB model that
 //! made it ~3× slower than every set-associative configuration in the
@@ -331,11 +331,19 @@ impl AssocIndex {
     }
 }
 
-/// A bounded FIFO set of block addresses with O(1) membership tests:
-/// the shape of every victim buffer in this crate (Jouppi's is 4
-/// entries, but ablations can make them large). Pushing beyond capacity
-/// drops the oldest entry; a membership hit removes the entry (victim
-/// buffers swap their line back into the cache).
+/// Largest victim buffer kept as a plain array. A linear scan of a few
+/// words beats hashing, list links and heap upkeep; on x86-64 the scan
+/// measured faster up to 16 entries and the O(1) [`AssocIndex`] from 32.
+const SCAN_LIMIT: usize = 16;
+
+/// A bounded FIFO set of block addresses: the shape of every victim
+/// buffer in this crate. Pushing beyond capacity drops the oldest
+/// entry; a membership hit removes the entry (victim buffers swap their
+/// line back into the cache).
+///
+/// Jouppi's buffers hold 4 entries, so buffers of up to 16 entries are
+/// a plain array in FIFO order, scanned linearly. Ablations can make
+/// them larger; those use an [`AssocIndex`] for O(1) membership.
 ///
 /// # Example
 ///
@@ -351,7 +359,16 @@ impl AssocIndex {
 /// ```
 #[derive(Debug, Clone)]
 pub struct VictimQueue {
-    index: AssocIndex,
+    store: Store,
+}
+
+/// The two representations of a [`VictimQueue`].
+#[derive(Debug, Clone)]
+enum Store {
+    /// Small buffers: the blocks, oldest first, and the capacity.
+    Scan(Vec<u64>, usize),
+    /// Large buffers: hashed membership, FIFO eviction list.
+    Hashed(AssocIndex),
 }
 
 impl VictimQueue {
@@ -361,35 +378,50 @@ impl VictimQueue {
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        VictimQueue {
-            index: AssocIndex::new(capacity),
-        }
+        assert!(capacity > 0, "a victim queue needs at least one slot");
+        let store = if capacity <= SCAN_LIMIT {
+            Store::Scan(Vec::with_capacity(capacity), capacity)
+        } else {
+            Store::Hashed(AssocIndex::new(capacity))
+        };
+        VictimQueue { store }
     }
 
     /// Maximum entries.
     pub fn capacity(&self) -> usize {
-        self.index.capacity()
+        match &self.store {
+            Store::Scan(_, capacity) => *capacity,
+            Store::Hashed(index) => index.capacity(),
+        }
     }
 
     /// Current entries.
     pub fn len(&self) -> usize {
-        self.index.len()
+        match &self.store {
+            Store::Scan(blocks, _) => blocks.len(),
+            Store::Hashed(index) => index.len(),
+        }
     }
 
     /// `true` when no block is buffered.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len() == 0
     }
 
     /// Removes `block` if buffered; `true` on a hit.
-    #[inline]
+    // Forced inline: this sits on every victim-buffer miss path, and the
+    // scan arm is a few instructions (the hashed arm is a call).
+    #[inline(always)]
     pub fn take(&mut self, block: u64) -> bool {
-        match self.index.get(block) {
-            Some(slot) => {
-                self.index.remove_slot(slot);
-                true
-            }
-            None => false,
+        match &mut self.store {
+            Store::Scan(blocks, _) => match blocks.iter().position(|&b| b == block) {
+                Some(i) => {
+                    remove_at(blocks, i);
+                    true
+                }
+                None => false,
+            },
+            Store::Hashed(index) => take_hashed(index, block),
         }
     }
 
@@ -397,17 +429,17 @@ impl VictimQueue {
     /// end if the queue was full. `block` must not already be buffered
     /// (victim buffers hold lines *not* resident in their cache, so a
     /// duplicate push is a caller bug; debug-asserted).
+    #[inline(always)]
     pub fn push(&mut self, block: u64) -> Option<u64> {
-        let dropped = if self.index.is_full() {
-            let oldest = self.index.victim_slot();
-            let key = self.index.key_at(oldest);
-            self.index.remove_slot(oldest);
-            Some(key)
-        } else {
-            None
-        };
-        self.index.insert(block);
-        dropped
+        match &mut self.store {
+            Store::Scan(blocks, capacity) => {
+                debug_assert!(!blocks.contains(&block), "block already buffered");
+                let dropped = (blocks.len() == *capacity).then(|| remove_at(blocks, 0));
+                blocks.push(block);
+                dropped
+            }
+            Store::Hashed(index) => push_hashed(index, block),
+        }
     }
 
     /// Drops `block` without reporting a hit (inclusion invalidations).
@@ -417,8 +449,48 @@ impl VictimQueue {
 
     /// Drops everything.
     pub fn clear(&mut self) {
-        self.index.clear();
+        match &mut self.store {
+            Store::Scan(blocks, _) => blocks.clear(),
+            Store::Hashed(index) => index.clear(),
+        }
     }
+}
+
+/// [`VictimQueue::take`] on the hashed representation.
+fn take_hashed(index: &mut AssocIndex, block: u64) -> bool {
+    match index.get(block) {
+        Some(slot) => {
+            index.remove_slot(slot);
+            true
+        }
+        None => false,
+    }
+}
+
+/// [`VictimQueue::push`] on the hashed representation: the FIFO list's
+/// head is the oldest entry.
+fn push_hashed(index: &mut AssocIndex, block: u64) -> Option<u64> {
+    let dropped = index.is_full().then(|| {
+        let oldest = index.victim_slot();
+        let key = index.key_at(oldest);
+        index.remove_slot(oldest);
+        key
+    });
+    index.insert(block);
+    dropped
+}
+
+/// Removes and returns `blocks[i]`, keeping the rest in order. The
+/// shift is written out: scanned buffers are a few words, and
+/// `Vec::remove` would call `memmove`.
+#[inline]
+fn remove_at(blocks: &mut Vec<u64>, i: usize) -> u64 {
+    let block = blocks[i];
+    for j in i + 1..blocks.len() {
+        blocks[j - 1] = blocks[j];
+    }
+    blocks.pop();
+    block
 }
 
 #[cfg(test)]
@@ -577,6 +649,35 @@ mod tests {
         assert!(!q.take(40));
         q.clear();
         assert!(q.is_empty() && !q.take(50));
+    }
+
+    #[test]
+    fn victim_queue_representations_agree_with_a_deque() {
+        // Capacities on both sides of SCAN_LIMIT, against a naive
+        // VecDeque FIFO set.
+        for capacity in [1, 3, SCAN_LIMIT, SCAN_LIMIT + 1, 64] {
+            let mut q = VictimQueue::new(capacity);
+            let mut shadow: std::collections::VecDeque<u64> = Default::default();
+            let mut x = 0x2545_f491_4f6c_dd1du64;
+            for step in 0..20_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let block = x % (3 * capacity as u64);
+                let hit = shadow
+                    .iter()
+                    .position(|&b| b == block)
+                    .map(|i| shadow.remove(i));
+                assert_eq!(q.take(block), hit.is_some(), "cap {capacity} step {step}");
+                if x & 1 == 0 {
+                    let dropped = (shadow.len() == capacity).then(|| shadow.pop_front().unwrap());
+                    shadow.push_back(block);
+                    assert_eq!(q.push(block), dropped, "cap {capacity} step {step}");
+                }
+                assert_eq!(q.len(), shadow.len());
+            }
+            assert_eq!(q.capacity(), capacity);
+        }
     }
 
     #[test]

@@ -17,9 +17,14 @@
 //! | `[cache]`     | [`crate::cache::Cache`] (any placement/policy) |
 //! | `[hierarchy]` + `[[level]]` | generic [`crate::stack::Hierarchy`], or the §3 [`crate::hierarchy::TwoLevelHierarchy`] with `virtual-real = true` |
 //! | `[column]`    | [`crate::column::ColumnAssociative`] |
-//! | `[victim]`    | [`crate::victim::VictimCache`] |
-//! | `[stream]`    | [`crate::stream::StreamBufferCache`] |
-//! | `[jouppi]`    | [`crate::jouppi::JouppiCache`] |
+//! | `[victim]`    | one-level [`crate::stack::Hierarchy`] with a victim buffer |
+//! | `[stream]`    | one-level [`crate::stack::Hierarchy`] with stream buffers |
+//! | `[jouppi]`    | one-level [`crate::stack::Hierarchy`] with both |
+//!
+//! `[victim]`, `[stream]` and `[jouppi]` are shorthands for one
+//! `[[level]]` with sidecars. They build a [`crate::stack::SidecarCache`]:
+//! stores pass through untouched and are counted, and the report keeps
+//! the section's own component name, extras and description.
 //!
 //! Shipped examples for every organization in the paper's comparison
 //! matrix live under `examples/*.toml`; `cac config validate` keeps
@@ -30,12 +35,9 @@ pub mod toml;
 use crate::cache::{Cache, WritePolicy};
 use crate::column::{ColumnAssociative, RehashKind};
 use crate::hierarchy::TwoLevelHierarchy;
-use crate::jouppi::JouppiCache;
 use crate::model::MemoryModel;
 use crate::replacement::ReplacementPolicy;
-use crate::stack::{Hierarchy, LevelBuilder};
-use crate::stream::StreamBufferCache;
-use crate::victim::VictimCache;
+use crate::stack::{Hierarchy, LevelBuilder, SidecarCache, SidecarSection};
 use crate::vm::PageMapper;
 use cac_core::{parse_size, CacheGeometry, Error, IndexSpec};
 use toml::{Table, Value};
@@ -192,41 +194,6 @@ pub struct ColumnConfig {
     pub rehash: RehashKind,
 }
 
-/// A victim-cache description (Jouppi's first half).
-#[derive(Debug, Clone)]
-pub struct VictimConfig {
-    /// Main-cache geometry.
-    pub geometry: CacheGeometry,
-    /// Victim-buffer lines.
-    pub victim_lines: usize,
-}
-
-/// A stream-buffer cache description (Jouppi's second half).
-#[derive(Debug, Clone)]
-pub struct StreamConfig {
-    /// Cache geometry.
-    pub geometry: CacheGeometry,
-    /// Placement scheme.
-    pub index: IndexSpec,
-    /// Number of stream buffers.
-    pub buffers: usize,
-    /// Depth of each buffer (blocks).
-    pub depth: usize,
-}
-
-/// The full Jouppi organization description.
-#[derive(Debug, Clone)]
-pub struct JouppiConfig {
-    /// Main-cache geometry.
-    pub geometry: CacheGeometry,
-    /// Victim-buffer lines.
-    pub victim_lines: usize,
-    /// Number of stream buffers.
-    pub stream_buffers: usize,
-    /// Depth of each stream buffer.
-    pub stream_depth: usize,
-}
-
 /// A deliberately faulty model for exercising the sweep engine's panic
 /// isolation (see [`crate::model::PoisonModel`]). Test-and-demo only.
 #[derive(Debug, Clone)]
@@ -245,12 +212,15 @@ pub enum ModelConfig {
     Hierarchy(HierarchyConfig),
     /// A column-associative cache.
     Column(ColumnConfig),
-    /// A victim cache.
-    Victim(VictimConfig),
-    /// A stream-buffer cache.
-    Stream(StreamConfig),
-    /// The complete Jouppi organization.
-    Jouppi(JouppiConfig),
+    /// One cache level with victim and/or stream-buffer sidecars,
+    /// declared by a `[victim]`, `[stream]` or `[jouppi]` section and
+    /// built as a [`SidecarCache`].
+    Sidecar {
+        /// The section it was declared in (fixes the report shape).
+        section: SidecarSection,
+        /// The cache and its sidecars.
+        level: LevelConfig,
+    },
     /// A panic-injection fixture ([`crate::model::PoisonModel`]).
     Poison(PoisonConfig),
 }
@@ -326,26 +296,17 @@ impl SimConfig {
             ModelConfig::Column(c) => Ok(Box::new(ColumnAssociative::with_rehash(
                 c.geometry, c.rehash,
             )?)),
-            ModelConfig::Victim(v) => Ok(Box::new(VictimCache::new(v.geometry, v.victim_lines)?)),
-            ModelConfig::Stream(s) => Ok(Box::new(StreamBufferCache::with_spec(
-                s.geometry,
-                s.index.clone(),
-                s.buffers,
-                s.depth,
-            )?)),
-            ModelConfig::Jouppi(j) => Ok(Box::new(JouppiCache::new(
-                j.geometry,
-                j.victim_lines,
-                j.stream_buffers,
-                j.stream_depth,
+            ModelConfig::Sidecar { section, level } => Ok(Box::new(SidecarCache::new(
+                *section,
+                level.level_builder(),
             )?)),
             ModelConfig::Poison(p) => Ok(Box::new(crate::model::PoisonModel::new(p.after))),
         }
     }
 
     /// The geometry of the model's primary (closest-to-CPU) cache:
-    /// level 1 for hierarchies, the main array for
-    /// column/victim/stream/Jouppi organizations. `None` for models
+    /// level 1 for hierarchies and sidecar organizations, the main array
+    /// for column-associative ones. `None` for models
     /// without a cache array (the poison fixture). This is the geometry
     /// the [`analytic`](crate::analytic) tier predicts for.
     pub fn primary_geometry(&self) -> Option<CacheGeometry> {
@@ -353,16 +314,14 @@ impl SimConfig {
             ModelConfig::Cache(c) => Some(c.geometry),
             ModelConfig::Hierarchy(h) => h.levels.first().map(|l| l.cache.geometry),
             ModelConfig::Column(c) => Some(c.geometry),
-            ModelConfig::Victim(v) => Some(v.geometry),
-            ModelConfig::Stream(s) => Some(s.geometry),
-            ModelConfig::Jouppi(j) => Some(j.geometry),
+            ModelConfig::Sidecar { level, .. } => Some(level.cache.geometry),
             ModelConfig::Poison(_) => None,
         }
     }
 
     /// The placement scheme of the model's primary cache.
-    /// Column/victim/Jouppi primary arrays are modulus-indexed by
-    /// construction; `None` for models without a cache array. Paired
+    /// Column, `[victim]` and `[jouppi]` primary arrays are
+    /// modulus-indexed by construction; `None` for models without a cache array. Paired
     /// with [`SimConfig::primary_geometry`], this tells the analytic
     /// tier which estimator applies (exact Mattson curves for modulus
     /// placement, the binomial model for hashed placement).
@@ -370,10 +329,8 @@ impl SimConfig {
         match &self.model {
             ModelConfig::Cache(c) => Some(c.index.clone()),
             ModelConfig::Hierarchy(h) => h.levels.first().map(|l| l.cache.index.clone()),
-            ModelConfig::Column(_) | ModelConfig::Victim(_) | ModelConfig::Jouppi(_) => {
-                Some(IndexSpec::modulo())
-            }
-            ModelConfig::Stream(s) => Some(s.index.clone()),
+            ModelConfig::Column(_) => Some(IndexSpec::modulo()),
+            ModelConfig::Sidecar { level, .. } => Some(level.cache.index.clone()),
             ModelConfig::Poison(_) => None,
         }
     }
@@ -400,6 +357,13 @@ impl SimConfig {
             })
             .collect();
         let has_levels = !doc.section_array("level").is_empty();
+        let sidecar = |section: SidecarSection| -> Result<ModelConfig, Error> {
+            let table = doc.section(section.name())?.expect("present");
+            Ok(ModelConfig::Sidecar {
+                section,
+                level: parse_sidecar(section, table)?,
+            })
+        };
         let model = match (model_sections.as_slice(), has_levels) {
             (["cache"], false) => ModelConfig::Cache(parse_cache_table(
                 doc.section("cache")?.expect("present"),
@@ -409,15 +373,9 @@ impl SimConfig {
             (["column"], false) => {
                 ModelConfig::Column(parse_column(doc.section("column")?.expect("present"))?)
             }
-            (["victim"], false) => {
-                ModelConfig::Victim(parse_victim(doc.section("victim")?.expect("present"))?)
-            }
-            (["stream"], false) => {
-                ModelConfig::Stream(parse_stream(doc.section("stream")?.expect("present"))?)
-            }
-            (["jouppi"], false) => {
-                ModelConfig::Jouppi(parse_jouppi(doc.section("jouppi")?.expect("present"))?)
-            }
+            (["victim"], false) => sidecar(SidecarSection::Victim)?,
+            (["stream"], false) => sidecar(SidecarSection::Stream)?,
+            (["jouppi"], false) => sidecar(SidecarSection::Jouppi)?,
             (["poison"], false) => {
                 let table = doc.section("poison")?.expect("present");
                 check_keys(table, &["after"], "[poison]")?;
@@ -774,25 +732,23 @@ fn parse_column(table: &Table) -> Result<ColumnConfig, Error> {
     Ok(ColumnConfig { geometry, rehash })
 }
 
-fn parse_victim(table: &Table) -> Result<VictimConfig, Error> {
-    check_keys(table, &["size", "line", "ways", "victim-lines"], "[victim]")?;
-    let geometry = CacheGeometry::new(
-        get_size(table, "size", None)?,
-        get_size(table, "line", Some(32))?,
-        get_u64(table, "ways", 1)? as u32,
-    )?;
-    Ok(VictimConfig {
-        geometry,
-        victim_lines: get_usize(table, "victim-lines", 4)?,
-    })
-}
-
-fn parse_stream(table: &Table) -> Result<StreamConfig, Error> {
-    check_keys(
-        table,
-        &["size", "line", "ways", "index", "buffers", "depth"],
-        "[stream]",
-    )?;
+/// Parses a `[victim]`, `[stream]` or `[jouppi]` section into the one
+/// level it declares. Each section keeps its own keys and defaults:
+/// `[victim]` and `[jouppi]` fix modulo placement, and `[jouppi]` fixes
+/// a direct-mapped cache.
+fn parse_sidecar(section: SidecarSection, table: &Table) -> Result<LevelConfig, Error> {
+    let keys: &[&str] = match section {
+        SidecarSection::Victim => &["size", "line", "ways", "victim-lines"],
+        SidecarSection::Stream => &["size", "line", "ways", "index", "buffers", "depth"],
+        SidecarSection::Jouppi => &[
+            "size",
+            "line",
+            "victim-lines",
+            "stream-buffers",
+            "stream-depth",
+        ],
+    };
+    check_keys(table, keys, &format!("[{}]", section.name()))?;
     let geometry = CacheGeometry::new(
         get_size(table, "size", None)?,
         get_size(table, "line", Some(32))?,
@@ -802,37 +758,22 @@ fn parse_stream(table: &Table) -> Result<StreamConfig, Error> {
         None => IndexSpec::modulo(),
         Some(name) => IndexSpec::parse(&name)?,
     };
-    Ok(StreamConfig {
-        geometry,
-        index,
-        buffers: get_usize(table, "buffers", 4)?,
-        depth: get_usize(table, "depth", 4)?,
-    })
-}
-
-fn parse_jouppi(table: &Table) -> Result<JouppiConfig, Error> {
-    check_keys(
-        table,
-        &[
-            "size",
-            "line",
-            "victim-lines",
-            "stream-buffers",
-            "stream-depth",
-        ],
-        "[jouppi]",
-    )?;
-    let geometry = CacheGeometry::new(
-        get_size(table, "size", None)?,
-        get_size(table, "line", Some(32))?,
-        1,
-    )?;
-    Ok(JouppiConfig {
-        geometry,
-        victim_lines: get_usize(table, "victim-lines", 4)?,
-        stream_buffers: get_usize(table, "stream-buffers", 4)?,
-        stream_depth: get_usize(table, "stream-depth", 4)?,
-    })
+    let mut level = LevelConfig::new(CacheConfig::new(geometry, index));
+    if section != SidecarSection::Stream {
+        level.victim_lines = Some(get_usize(table, "victim-lines", 4)?);
+    }
+    level.stream = match section {
+        SidecarSection::Victim => None,
+        SidecarSection::Stream => Some((
+            get_usize(table, "buffers", 4)?,
+            get_usize(table, "depth", 4)?,
+        )),
+        SidecarSection::Jouppi => Some((
+            get_usize(table, "stream-buffers", 4)?,
+            get_usize(table, "stream-depth", 4)?,
+        )),
+    };
+    Ok(level)
 }
 
 #[cfg(test)]

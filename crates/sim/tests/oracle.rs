@@ -10,13 +10,23 @@
 //! replacement RNG) and checks both the per-op path and the batched
 //! kernel path against it, per access, across every replacement ×
 //! write-policy combination.
+//!
+//! On top of that naive cache, [`SidecarOracle`] models Jouppi's
+//! sidecars just as plainly — a victim FIFO in a `Vec` searched by
+//! linear scan, stream buffers as explicit FIFOs of prefetched blocks —
+//! and checks a one-level [`Hierarchy`] against it access by access,
+//! plus the `[victim]` / `[stream]` / `[jouppi]` report counters of
+//! [`SidecarCache`] on mixed read/write traffic.
 
 use cac_core::{CacheGeometry, IndexFunction, IndexSpec};
 use cac_sim::cache::{Cache, WritePolicy};
+use cac_sim::model::{MemoryModel, ServicePoint};
 use cac_sim::replacement::ReplacementPolicy;
+use cac_sim::stack::{Hierarchy, LevelBuilder, SidecarCache, SidecarSection};
 use cac_sim::stats::CacheStats;
 use cac_trace::MemRef;
 use proptest::prelude::*;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// The seed `Cache::builder` uses by default; the oracle's RNG copy
@@ -203,6 +213,119 @@ impl Oracle {
     }
 }
 
+/// One stream buffer of the naive model: the prefetched blocks (front
+/// = head, the only block a probe may hit), the next block to prefetch,
+/// and the LRU stamp.
+struct NaiveStream {
+    fifo: VecDeque<u64>,
+    next: u64,
+    last_used: u64,
+}
+
+/// A naive model of one cache level with Jouppi's sidecars, on top of
+/// the naive [`Oracle`] cache (LRU, write-through / no-write-allocate):
+/// a victim FIFO searched by linear scan, and stream buffers as explicit
+/// FIFOs with the head-only policy and LRU reallocation. Reads only.
+struct SidecarOracle {
+    cache: Oracle,
+    /// Victim FIFO, oldest first, and its capacity.
+    victim: Option<(Vec<u64>, usize)>,
+    streams: Vec<NaiveStream>,
+    /// Stream-buffer count and depth.
+    stream_shape: Option<(usize, usize)>,
+    clock: u64,
+    /// Counters: victim hits, stream hits, prefetched blocks flushed
+    /// unused by a reallocation.
+    victim_hits: u64,
+    stream_hits: u64,
+    flushed: u64,
+}
+
+impl SidecarOracle {
+    fn new(
+        geom: CacheGeometry,
+        spec: IndexSpec,
+        victim: Option<usize>,
+        stream_shape: Option<(usize, usize)>,
+    ) -> Self {
+        SidecarOracle {
+            cache: Oracle::new(
+                geom,
+                spec,
+                ReplacementPolicy::Lru,
+                WritePolicy::WriteThroughNoAllocate,
+            ),
+            victim: victim.map(|lines| (Vec::new(), lines)),
+            streams: Vec::new(),
+            stream_shape,
+            clock: 0,
+            victim_hits: 0,
+            stream_hits: 0,
+            flushed: 0,
+        }
+    }
+
+    /// One read: where it was serviced, and the block that left the
+    /// level entirely (out of the victim FIFO's far end, or straight
+    /// out of the cache without a victim buffer).
+    fn read(&mut self, addr: u64) -> (ServicePoint, Option<u64>) {
+        self.clock += 1;
+        let block = self.cache.geom.block_addr(addr);
+        let out = self.cache.access(addr, false);
+        if out.hit {
+            return (ServicePoint::Level(0), None);
+        }
+        let mut served = ServicePoint::Memory;
+        if let Some((fifo, _)) = &mut self.victim {
+            if let Some(i) = fifo.iter().position(|&b| b == block) {
+                fifo.remove(i);
+                self.victim_hits += 1;
+                served = ServicePoint::Victim(0);
+            }
+        }
+        if let (ServicePoint::Memory, Some((buffers, depth))) = (served, self.stream_shape) {
+            if let Some(s) = self
+                .streams
+                .iter_mut()
+                .find(|s| s.fifo.front() == Some(&block))
+            {
+                s.fifo.pop_front();
+                while s.fifo.len() < depth {
+                    s.fifo.push_back(s.next);
+                    s.next += 1;
+                }
+                s.last_used = self.clock;
+                self.stream_hits += 1;
+                served = ServicePoint::Stream(0);
+            } else {
+                let fresh = NaiveStream {
+                    fifo: (block + 1..=block + depth as u64).collect(),
+                    next: block + depth as u64 + 1,
+                    last_used: self.clock,
+                };
+                if self.streams.len() < buffers {
+                    self.streams.push(fresh);
+                } else {
+                    let lru = (0..self.streams.len())
+                        .min_by_key(|&i| self.streams[i].last_used)
+                        .expect("buffers >= 1");
+                    self.flushed += self.streams[lru].fifo.len() as u64;
+                    self.streams[lru] = fresh;
+                }
+            }
+        }
+        let departed = match (&mut self.victim, out.evicted) {
+            (Some((fifo, lines)), Some(evicted)) => {
+                let dropped = (fifo.len() == *lines).then(|| fifo.remove(0));
+                fifo.push(evicted);
+                dropped
+            }
+            (_, evicted) => evicted,
+        };
+        (served, departed)
+    }
+}
+
 fn policies() -> [ReplacementPolicy; 3] {
     [
         ReplacementPolicy::Lru,
@@ -284,6 +407,99 @@ fn trace(len: usize) -> impl Strategy<Value = Vec<MemRef>> {
             })
             .collect()
     })
+}
+
+/// Read traffic for the sidecars: sequential runs (stream material),
+/// jumps, and returns to a cache-sized stride (conflict material), with
+/// one store in eight for the report check.
+fn sidecar_trace(len: usize) -> impl Strategy<Value = Vec<MemRef>> {
+    proptest::collection::vec((0u32..1 << 18, 0u32..16), len..len + 1).prop_map(|raw| {
+        let mut cursor = 0u64;
+        raw.into_iter()
+            .map(|(a, kind)| {
+                cursor = match kind % 4 {
+                    0 => u64::from(a) & !3,
+                    1 | 2 => cursor + 32,
+                    _ => cursor ^ 0x1000,
+                };
+                MemRef {
+                    pc: 0,
+                    addr: cursor,
+                    is_write: kind >= 14,
+                }
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A one-level [`Hierarchy`] with victim and/or stream sidecars
+    /// against [`SidecarOracle`], access by access (hit, service point,
+    /// departed block), on the reads of the trace; then the
+    /// [`SidecarCache`] report counters on the full mixed trace.
+    #[test]
+    fn one_level_sidecars_match_oracle(
+        refs in sidecar_trace(600),
+        two_way in 0usize..2,
+        skewed in 0usize..2,
+        victim_lines in 0usize..9,
+        buffers in 0usize..5,
+        depth in 1usize..5,
+    ) {
+        prop_assume!(victim_lines > 0 || buffers > 0);
+        let ways = if two_way == 1 { 2 } else { 1 };
+        let geom = CacheGeometry::new(4096, 32, ways).unwrap();
+        let spec = if skewed == 1 { IndexSpec::ipoly_skewed() } else { IndexSpec::modulo() };
+        let victim = (victim_lines > 0).then_some(victim_lines);
+        let streams = (buffers > 0).then_some((buffers, depth));
+        let level = || {
+            let mut lb = LevelBuilder::new(geom).index_spec(spec.clone());
+            if let Some(lines) = victim {
+                lb = lb.victim_buffer(lines);
+            }
+            if let Some((n, d)) = streams {
+                lb = lb.stream_buffers(n, d);
+            }
+            lb
+        };
+        let mut oracle = SidecarOracle::new(geom, spec.clone(), victim, streams);
+        let mut stack = Hierarchy::builder().level(level()).build().unwrap();
+        for (i, r) in refs.iter().filter(|r| !r.is_write).enumerate() {
+            let (want, departed) = oracle.read(r.addr);
+            let got = stack.read(r.addr);
+            prop_assert_eq!(got.served_by, want, "read {} ({:#x})", i, r.addr);
+            prop_assert_eq!(got.hit, want != ServicePoint::Memory, "read {}", i);
+            prop_assert_eq!(got.evicted, departed, "read {} ({:#x})", i, r.addr);
+        }
+
+        let section = match (victim, streams) {
+            (Some(_), None) => SidecarSection::Victim,
+            (None, Some(_)) => SidecarSection::Stream,
+            _ => SidecarSection::Jouppi,
+        };
+        let mut model = SidecarCache::new(section, level()).unwrap();
+        model.run_refs(&refs);
+        let s = model.stats();
+        let reads = refs.iter().filter(|r| !r.is_write).count() as u64;
+        let misses = reads - oracle.cache.stats.hits - oracle.victim_hits - oracle.stream_hits;
+        prop_assert_eq!(s.demand.reads, reads);
+        prop_assert_eq!(s.demand.misses, misses);
+        prop_assert_eq!(s.demand.writes, 0);
+        prop_assert_eq!(s.extra("stores-bypassed"), Some(refs.len() as u64 - reads));
+        let main = if section == SidecarSection::Stream { "cache-hits" } else { "main-hits" };
+        prop_assert_eq!(s.extra(main), Some(oracle.cache.stats.hits));
+        if section != SidecarSection::Stream {
+            prop_assert_eq!(s.extra("victim-hits"), Some(oracle.victim_hits));
+        }
+        if section != SidecarSection::Victim {
+            prop_assert_eq!(s.extra("stream-hits"), Some(oracle.stream_hits));
+        }
+        if section == SidecarSection::Stream {
+            prop_assert_eq!(s.extra("flushed-unused"), Some(oracle.flushed));
+        }
+    }
 }
 
 proptest! {

@@ -5,12 +5,23 @@ use cac_sim::cache::{Cache, WritePolicy};
 use cac_sim::classify::ThreeCClassifier;
 use cac_sim::column::ColumnAssociative;
 use cac_sim::hierarchy::TwoLevelHierarchy;
+use cac_sim::model::MemoryModel;
 use cac_sim::vm::PageMapper;
+use cac_sim::SimConfig;
+use cac_trace::MemRef;
 use proptest::prelude::*;
 
 fn geometries() -> impl Strategy<Value = CacheGeometry> {
     (10u32..15, 5u32..7, 0u32..2)
         .prop_map(|(cap, blk, way)| CacheGeometry::new(1u64 << cap, 1u64 << blk, 1 << way).unwrap())
+}
+
+fn read(addr: u64) -> MemRef {
+    MemRef {
+        pc: 0,
+        addr,
+        is_write: false,
+    }
 }
 
 fn specs() -> impl Strategy<Value = IndexSpec> {
@@ -149,50 +160,50 @@ proptest! {
         prop_assert_eq!(resident, expected);
     }
 
-    /// Jouppi organization: the four outcome counters partition the
+    /// Jouppi organization (a `[jouppi]` config: 4 victim lines, 4x4
+    /// stream buffers): the four outcome counters partition the
     /// accesses, and re-reading any address immediately afterwards hits.
     #[test]
     fn jouppi_counters_partition_accesses(
         addrs in proptest::collection::vec(any::<u32>(), 1..400)
     ) {
-        use cac_sim::jouppi::JouppiCache;
-        let geom = CacheGeometry::new(4096, 32, 1).unwrap();
-        let mut c = JouppiCache::new(geom, 4, 4, 4).unwrap();
+        let mut c = SimConfig::from_toml_str("[jouppi]\nsize = 4096\n").unwrap().build().unwrap();
+        let extra = |c: &dyn MemoryModel, name: &str| c.stats().extra(name).expect(name);
         for &a in &addrs {
             let addr = u64::from(a) % (1 << 22);
-            c.read(addr);
-            let before = c.stats();
-            c.read(addr);
-            let after = c.stats();
-            prop_assert_eq!(after.main_hits, before.main_hits + 1,
+            c.access(read(addr));
+            let before = extra(&*c, "main-hits");
+            c.access(read(addr));
+            prop_assert_eq!(extra(&*c, "main-hits"), before + 1,
                 "immediate re-read of {:#x} must hit the cache", addr);
         }
         let s = c.stats();
         prop_assert_eq!(
-            s.main_hits + s.victim_hits + s.stream_hits + s.full_misses,
-            s.accesses
+            extra(&*c, "main-hits") + extra(&*c, "victim-hits") + extra(&*c, "stream-hits")
+                + s.demand.misses,
+            s.demand.accesses
         );
     }
 
-    /// Stream buffers never increase the full-miss count over the bare
-    /// cache (prefetch can only convert misses into stream hits).
+    /// Stream buffers (a `[stream]` config: 4x4 on a direct-mapped
+    /// cache) never increase the full-miss count over the bare cache
+    /// (prefetch can only convert misses into stream hits).
     #[test]
     fn stream_buffers_never_hurt(
         addrs in proptest::collection::vec(any::<u16>(), 1..400)
     ) {
-        use cac_sim::stream::StreamBufferCache;
         let geom = CacheGeometry::new(4096, 32, 1).unwrap();
         let mut bare = Cache::build(geom, IndexSpec::modulo()).unwrap();
-        let mut buffered = StreamBufferCache::new(geom, 4, 4).unwrap();
+        let mut buffered = SimConfig::from_toml_str("[stream]\nsize = 4096\n").unwrap().build().unwrap();
         let mut bare_misses = 0u64;
         for &a in &addrs {
             let addr = u64::from(a);
             if !bare.read(addr).hit {
                 bare_misses += 1;
             }
-            buffered.read(addr);
+            buffered.access(read(addr));
         }
-        prop_assert!(buffered.stats().misses <= bare_misses);
+        prop_assert!(buffered.stats().demand.misses <= bare_misses);
     }
 
     /// TLB translations always agree with the page table, and the stats

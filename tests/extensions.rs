@@ -332,17 +332,15 @@ fn spmv_gathers_are_placement_insensitive() {
 fn buffers_and_placement_attack_different_miss_classes() {
     // Reference [13] (victim + stream buffers) vs the paper's placement:
     // the conflict trio favours placement, streaming codes favour
-    // prefetch — the E10 finding, pinned as a test.
-    use cac::sim::jouppi::JouppiCache;
-    let dm = CacheGeometry::new(8 * 1024, 32, 1).unwrap();
+    // prefetch — the E10 finding, pinned as a test. The `[jouppi]`
+    // section (direct-mapped 8KB, 4 victim lines, 4x4 stream buffers)
+    // passes stores through, so its demand counters are the loads'.
+    use cac::sim::SimConfig;
+    let jouppi = SimConfig::from_toml_str("[jouppi]\nsize = \"8KiB\"\n").unwrap();
     let run_jouppi = |b: SpecBenchmark| {
-        let mut c = JouppiCache::new(dm, 4, 4, 4).unwrap();
-        let mut reads = 0u64;
-        for r in mem_refs(b.generator(5).take(80_000)).filter(|r| !r.is_write) {
-            reads += 1;
-            c.read(r.addr);
-        }
-        c.stats().full_misses as f64 / reads as f64
+        let mut c = jouppi.build().unwrap();
+        let refs: Vec<_> = mem_refs(b.generator(5).take(80_000)).collect();
+        c.run_refs(&refs).demand.read_miss_ratio()
     };
     let run_ipoly = |b: SpecBenchmark| {
         let mut c = Cache::build(paper_geom(), IndexSpec::ipoly_skewed()).unwrap();
