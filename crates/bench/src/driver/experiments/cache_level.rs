@@ -19,7 +19,6 @@ use cac_sim::cache::Cache;
 use cac_sim::column::RehashKind;
 use cac_sim::config::{CacheConfig, ColumnConfig, LevelConfig, ModelConfig};
 use cac_sim::model::{MemoryModel, ModelStats};
-use cac_sim::stack::SidecarSection;
 use cac_sim::sweep::{LruStackSweep, Sweep};
 use cac_sim::SimConfig;
 use cac_trace::kernels::mem_refs;
@@ -121,24 +120,18 @@ pub fn organization_matrix() -> Vec<(&'static str, SimConfig)> {
     let fa = CacheGeometry::fully_associative(8 * 1024, 32).expect("geometry");
     // Jouppi's organizations: the direct-mapped cache with 4 victim
     // lines and/or 4x4 stream buffers.
-    let sidecar = |section, victim_lines, stream| {
-        SimConfig::new(ModelConfig::Sidecar {
-            section,
-            level: LevelConfig {
-                victim_lines,
-                stream,
-                ..LevelConfig::new(CacheConfig::new(dm, IndexSpec::modulo()))
-            },
-        })
+    let sidecar = |victim_lines, stream| {
+        SimConfig::new(ModelConfig::Sidecar(LevelConfig {
+            victim_lines,
+            stream,
+            ..LevelConfig::new(CacheConfig::new(dm, IndexSpec::modulo()))
+        }))
     };
     vec![
         ("direct-mapped", SimConfig::cache(dm, IndexSpec::modulo())),
         ("2-way set-assoc", SimConfig::cache(w2, IndexSpec::modulo())),
         ("4-way set-assoc", SimConfig::cache(w4, IndexSpec::modulo())),
-        (
-            "victim (DM + 4 lines)",
-            sidecar(SidecarSection::Victim, Some(4), None),
-        ),
+        ("victim (DM + 4 lines)", sidecar(Some(4), None)),
         (
             "hash-rehash (bit flip)",
             SimConfig::new(ModelConfig::Column(ColumnConfig {
@@ -153,13 +146,10 @@ pub fn organization_matrix() -> Vec<(&'static str, SimConfig)> {
                 rehash: RehashKind::Polynomial,
             })),
         ),
-        (
-            "stream buffers (DM + 4x4)",
-            sidecar(SidecarSection::Stream, None, Some((4, 4))),
-        ),
+        ("stream buffers (DM + 4x4)", sidecar(None, Some((4, 4)))),
         (
             "Jouppi (DM + victim + stream)",
-            sidecar(SidecarSection::Jouppi, Some(4), Some((4, 4))),
+            sidecar(Some(4), Some((4, 4))),
         ),
         (
             "2-way skewed XOR",

@@ -3,10 +3,10 @@
 //!
 //! Several structures in this crate are fully associative — the
 //! degenerate one-set [`crate::cache::Cache`] geometry the paper's
-//! miss-ratio comparisons use as their reference curve, victim buffers
-//! larger than Jouppi's few lines ([`VictimQueue`]), and a TLB
-//! configured with as many ways as entries. Probing them by scanning every way costs O(ways)
-//! per access, and victim selection by scanning every stamp costs
+//! miss-ratio comparisons use as their reference curve, and a TLB
+//! configured with as many ways as entries. Probing them by scanning
+//! every way costs O(ways) per access, and victim selection by
+//! scanning every stamp costs
 //! another O(ways); for the 256-line fully-associative 8KB model that
 //! made it ~3× slower than every set-associative configuration in the
 //! same sweep.
@@ -29,6 +29,9 @@
 //! The structure deliberately stores no payload: callers keep their
 //! per-line metadata in the same flat slot-indexed arrays they always
 //! had, and the index only answers "which slot?" and "who is next?".
+//!
+//! Victim buffers are fully associative too, but hold only a few lines;
+//! [`VictimQueue`] keeps them as a scanned array instead.
 
 /// Sentinel for an empty hash bucket and a nil list link.
 const NIL: u32 = u32::MAX;
@@ -331,19 +334,15 @@ impl AssocIndex {
     }
 }
 
-/// Largest victim buffer kept as a plain array. A linear scan of a few
-/// words beats hashing, list links and heap upkeep; on x86-64 the scan
-/// measured faster up to 16 entries and the O(1) [`AssocIndex`] from 32.
-const SCAN_LIMIT: usize = 16;
-
 /// A bounded FIFO set of block addresses: the shape of every victim
 /// buffer in this crate. Pushing beyond capacity drops the oldest
 /// entry; a membership hit removes the entry (victim buffers swap their
 /// line back into the cache).
 ///
-/// Jouppi's buffers hold 4 entries, so buffers of up to 16 entries are
-/// a plain array in FIFO order, scanned linearly. Ablations can make
-/// them larger; those use an [`AssocIndex`] for O(1) membership.
+/// Victim buffers hold a few lines (Jouppi's hold 4), so the queue is a
+/// plain array in FIFO order and membership is a linear scan: O(lines)
+/// per probe, which for a few words beats the hashing, list links and
+/// heap upkeep of an [`AssocIndex`].
 ///
 /// # Example
 ///
@@ -359,16 +358,9 @@ const SCAN_LIMIT: usize = 16;
 /// ```
 #[derive(Debug, Clone)]
 pub struct VictimQueue {
-    store: Store,
-}
-
-/// The two representations of a [`VictimQueue`].
-#[derive(Debug, Clone)]
-enum Store {
-    /// Small buffers: the blocks, oldest first, and the capacity.
-    Scan(Vec<u64>, usize),
-    /// Large buffers: hashed membership, FIFO eviction list.
-    Hashed(AssocIndex),
+    /// The buffered blocks, oldest first.
+    blocks: Vec<u64>,
+    capacity: usize,
 }
 
 impl VictimQueue {
@@ -379,49 +371,36 @@ impl VictimQueue {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "a victim queue needs at least one slot");
-        let store = if capacity <= SCAN_LIMIT {
-            Store::Scan(Vec::with_capacity(capacity), capacity)
-        } else {
-            Store::Hashed(AssocIndex::new(capacity))
-        };
-        VictimQueue { store }
+        VictimQueue {
+            blocks: Vec::with_capacity(capacity),
+            capacity,
+        }
     }
 
     /// Maximum entries.
     pub fn capacity(&self) -> usize {
-        match &self.store {
-            Store::Scan(_, capacity) => *capacity,
-            Store::Hashed(index) => index.capacity(),
-        }
+        self.capacity
     }
 
     /// Current entries.
     pub fn len(&self) -> usize {
-        match &self.store {
-            Store::Scan(blocks, _) => blocks.len(),
-            Store::Hashed(index) => index.len(),
-        }
+        self.blocks.len()
     }
 
     /// `true` when no block is buffered.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.blocks.is_empty()
     }
 
     /// Removes `block` if buffered; `true` on a hit.
-    // Forced inline: this sits on every victim-buffer miss path, and the
-    // scan arm is a few instructions (the hashed arm is a call).
-    #[inline(always)]
+    #[inline]
     pub fn take(&mut self, block: u64) -> bool {
-        match &mut self.store {
-            Store::Scan(blocks, _) => match blocks.iter().position(|&b| b == block) {
-                Some(i) => {
-                    remove_at(blocks, i);
-                    true
-                }
-                None => false,
-            },
-            Store::Hashed(index) => take_hashed(index, block),
+        match self.blocks.iter().position(|&b| b == block) {
+            Some(i) => {
+                remove_at(&mut self.blocks, i);
+                true
+            }
+            None => false,
         }
     }
 
@@ -429,17 +408,12 @@ impl VictimQueue {
     /// end if the queue was full. `block` must not already be buffered
     /// (victim buffers hold lines *not* resident in their cache, so a
     /// duplicate push is a caller bug; debug-asserted).
-    #[inline(always)]
+    #[inline]
     pub fn push(&mut self, block: u64) -> Option<u64> {
-        match &mut self.store {
-            Store::Scan(blocks, capacity) => {
-                debug_assert!(!blocks.contains(&block), "block already buffered");
-                let dropped = (blocks.len() == *capacity).then(|| remove_at(blocks, 0));
-                blocks.push(block);
-                dropped
-            }
-            Store::Hashed(index) => push_hashed(index, block),
-        }
+        debug_assert!(!self.blocks.contains(&block), "block already buffered");
+        let dropped = (self.blocks.len() == self.capacity).then(|| remove_at(&mut self.blocks, 0));
+        self.blocks.push(block);
+        dropped
     }
 
     /// Drops `block` without reporting a hit (inclusion invalidations).
@@ -449,39 +423,12 @@ impl VictimQueue {
 
     /// Drops everything.
     pub fn clear(&mut self) {
-        match &mut self.store {
-            Store::Scan(blocks, _) => blocks.clear(),
-            Store::Hashed(index) => index.clear(),
-        }
+        self.blocks.clear();
     }
-}
-
-/// [`VictimQueue::take`] on the hashed representation.
-fn take_hashed(index: &mut AssocIndex, block: u64) -> bool {
-    match index.get(block) {
-        Some(slot) => {
-            index.remove_slot(slot);
-            true
-        }
-        None => false,
-    }
-}
-
-/// [`VictimQueue::push`] on the hashed representation: the FIFO list's
-/// head is the oldest entry.
-fn push_hashed(index: &mut AssocIndex, block: u64) -> Option<u64> {
-    let dropped = index.is_full().then(|| {
-        let oldest = index.victim_slot();
-        let key = index.key_at(oldest);
-        index.remove_slot(oldest);
-        key
-    });
-    index.insert(block);
-    dropped
 }
 
 /// Removes and returns `blocks[i]`, keeping the rest in order. The
-/// shift is written out: scanned buffers are a few words, and
+/// shift is written out: victim buffers are a few words, and
 /// `Vec::remove` would call `memmove`.
 #[inline]
 fn remove_at(blocks: &mut Vec<u64>, i: usize) -> u64 {
@@ -652,10 +599,9 @@ mod tests {
     }
 
     #[test]
-    fn victim_queue_representations_agree_with_a_deque() {
-        // Capacities on both sides of SCAN_LIMIT, against a naive
-        // VecDeque FIFO set.
-        for capacity in [1, 3, SCAN_LIMIT, SCAN_LIMIT + 1, 64] {
+    fn victim_queue_matches_a_deque() {
+        // Against a naive VecDeque FIFO set.
+        for capacity in [1, 3, 4, 16, 64] {
             let mut q = VictimQueue::new(capacity);
             let mut shadow: std::collections::VecDeque<u64> = Default::default();
             let mut x = 0x2545_f491_4f6c_dd1du64;

@@ -24,7 +24,8 @@
 //! `[victim]`, `[stream]` and `[jouppi]` are shorthands for one
 //! `[[level]]` with sidecars. They build a [`crate::stack::SidecarCache`]:
 //! stores pass through untouched and are counted, and the report keeps
-//! the section's own component name, extras and description.
+//! the section's own component name, extras and description, which
+//! follow from the sidecars the level has.
 //!
 //! Shipped examples for every organization in the paper's comparison
 //! matrix live under `examples/*.toml`; `cac config validate` keeps
@@ -37,7 +38,7 @@ use crate::column::{ColumnAssociative, RehashKind};
 use crate::hierarchy::TwoLevelHierarchy;
 use crate::model::MemoryModel;
 use crate::replacement::ReplacementPolicy;
-use crate::stack::{Hierarchy, LevelBuilder, SidecarCache, SidecarSection};
+use crate::stack::{Hierarchy, LevelBuilder, SidecarCache};
 use crate::vm::PageMapper;
 use cac_core::{parse_size, CacheGeometry, Error, IndexSpec};
 use toml::{Table, Value};
@@ -214,13 +215,9 @@ pub enum ModelConfig {
     Column(ColumnConfig),
     /// One cache level with victim and/or stream-buffer sidecars,
     /// declared by a `[victim]`, `[stream]` or `[jouppi]` section and
-    /// built as a [`SidecarCache`].
-    Sidecar {
-        /// The section it was declared in (fixes the report shape).
-        section: SidecarSection,
-        /// The cache and its sidecars.
-        level: LevelConfig,
-    },
+    /// built as a [`SidecarCache`] (whose report shape follows from
+    /// which sidecars the level has).
+    Sidecar(LevelConfig),
     /// A panic-injection fixture ([`crate::model::PoisonModel`]).
     Poison(PoisonConfig),
 }
@@ -296,10 +293,7 @@ impl SimConfig {
             ModelConfig::Column(c) => Ok(Box::new(ColumnAssociative::with_rehash(
                 c.geometry, c.rehash,
             )?)),
-            ModelConfig::Sidecar { section, level } => Ok(Box::new(SidecarCache::new(
-                *section,
-                level.level_builder(),
-            )?)),
+            ModelConfig::Sidecar(level) => Ok(Box::new(SidecarCache::new(level.level_builder())?)),
             ModelConfig::Poison(p) => Ok(Box::new(crate::model::PoisonModel::new(p.after))),
         }
     }
@@ -314,7 +308,7 @@ impl SimConfig {
             ModelConfig::Cache(c) => Some(c.geometry),
             ModelConfig::Hierarchy(h) => h.levels.first().map(|l| l.cache.geometry),
             ModelConfig::Column(c) => Some(c.geometry),
-            ModelConfig::Sidecar { level, .. } => Some(level.cache.geometry),
+            ModelConfig::Sidecar(level) => Some(level.cache.geometry),
             ModelConfig::Poison(_) => None,
         }
     }
@@ -330,7 +324,7 @@ impl SimConfig {
             ModelConfig::Cache(c) => Some(c.index.clone()),
             ModelConfig::Hierarchy(h) => h.levels.first().map(|l| l.cache.index.clone()),
             ModelConfig::Column(_) => Some(IndexSpec::modulo()),
-            ModelConfig::Sidecar { level, .. } => Some(level.cache.index.clone()),
+            ModelConfig::Sidecar(level) => Some(level.cache.index.clone()),
             ModelConfig::Poison(_) => None,
         }
     }
@@ -359,10 +353,7 @@ impl SimConfig {
         let has_levels = !doc.section_array("level").is_empty();
         let sidecar = |section: SidecarSection| -> Result<ModelConfig, Error> {
             let table = doc.section(section.name())?.expect("present");
-            Ok(ModelConfig::Sidecar {
-                section,
-                level: parse_sidecar(section, table)?,
-            })
+            Ok(ModelConfig::Sidecar(parse_sidecar(section, table)?))
         };
         let model = match (model_sections.as_slice(), has_levels) {
             (["cache"], false) => ModelConfig::Cache(parse_cache_table(
@@ -730,6 +721,25 @@ fn parse_column(table: &Table) -> Result<ColumnConfig, Error> {
         }
     };
     Ok(ColumnConfig { geometry, rehash })
+}
+
+/// Which of the sidecar sections is being parsed: it selects the keys
+/// the section accepts and their defaults.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SidecarSection {
+    Victim,
+    Stream,
+    Jouppi,
+}
+
+impl SidecarSection {
+    fn name(self) -> &'static str {
+        match self {
+            SidecarSection::Victim => "victim",
+            SidecarSection::Stream => "stream",
+            SidecarSection::Jouppi => "jouppi",
+        }
+    }
 }
 
 /// Parses a `[victim]`, `[stream]` or `[jouppi]` section into the one

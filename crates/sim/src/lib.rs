@@ -62,7 +62,7 @@
 //!   probes return `(way, set)` so hit and fill paths never recompute an
 //!   index;
 //! * one-set (fully-associative) geometries — the paper's reference
-//!   curve, victim buffers, maximal TLBs — probe and pick victims in
+//!   curve, maximal TLBs — probe and pick victims in
 //!   O(1) through [`assoc::AssocIndex`] instead of scanning every way;
 //! * batched replay dispatches each chunk to a probe kernel
 //!   monomorphized for the cache's shape (ways ∈ {1, 2, 4} ×

@@ -663,45 +663,32 @@ impl MemoryModel for Hierarchy {
     }
 }
 
-/// The config section a one-level sidecar organization was declared in:
-/// `[victim]`, `[stream]` or `[jouppi]`. It fixes the report shape of
-/// the [`SidecarCache`] built from it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SidecarSection {
-    /// `[victim]`: a cache plus a victim buffer.
-    Victim,
-    /// `[stream]`: a cache plus stream buffers.
-    Stream,
-    /// `[jouppi]`: a cache plus both (Jouppi's full design \[13\]).
-    Jouppi,
-}
-
-impl SidecarSection {
-    /// The section name, which is also the report's component name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SidecarSection::Victim => "victim",
-            SidecarSection::Stream => "stream",
-            SidecarSection::Jouppi => "jouppi",
-        }
-    }
-}
-
-/// A one-level [`Hierarchy`] that reports in the shape of the section it
-/// was declared in.
+/// A one-level [`Hierarchy`] with a victim buffer, stream buffers, or
+/// both: the organizations of the `[victim]`, `[stream]` and `[jouppi]`
+/// config sections.
 ///
 /// Jouppi's buffers are a read mechanism and the paper compares
 /// organizations by load miss ratio, so stores pass through untouched
 /// and are only counted. Reads go through [`Hierarchy::access`]. The
-/// report keeps the format these organizations have always had: one
-/// component named after the section, its demand counters, the
-/// section's extras in a fixed order, and the section's `describe()`
-/// line.
+/// report keeps the format these organizations have always had, chosen
+/// by which sidecars the level has: one component named `victim`,
+/// `stream` or `jouppi`, its demand counters, that organization's
+/// extras in a fixed order, and its `describe()` line.
 #[derive(Debug)]
 pub struct SidecarCache {
     hierarchy: Hierarchy,
-    section: SidecarSection,
     stores: u64,
+}
+
+/// The report shape of a [`SidecarCache`], from the sidecars it has.
+#[derive(Clone, Copy)]
+enum Shape {
+    /// A victim buffer only.
+    Victim,
+    /// Stream buffers only.
+    Stream,
+    /// Both (Jouppi's full design \[13\]).
+    Jouppi,
 }
 
 impl SidecarCache {
@@ -709,14 +696,32 @@ impl SidecarCache {
     ///
     /// # Errors
     ///
-    /// Any error [`HierarchyBuilder::build`] reports (zero-sized
-    /// sidecars, cache validation).
-    pub fn new(section: SidecarSection, level: LevelBuilder) -> Result<Self, Error> {
+    /// [`Error::Config`] if `level` has neither a victim buffer
+    /// nor stream buffers, or has MSHRs; otherwise any error
+    /// [`HierarchyBuilder::build`] reports (zero-sized sidecars, cache
+    /// validation).
+    pub fn new(level: LevelBuilder) -> Result<Self, Error> {
+        if level.victim_lines.is_none() && level.stream.is_none() {
+            return Err(Error::config(
+                "a sidecar organization needs a victim buffer or stream buffers",
+            ));
+        }
+        if level.mshrs.is_some() {
+            return Err(Error::config("a sidecar organization has no MSHRs"));
+        }
         Ok(SidecarCache {
             hierarchy: Hierarchy::builder().level(level).build()?,
-            section,
             stores: 0,
         })
+    }
+
+    fn shape(&self) -> Shape {
+        let level = &self.hierarchy.levels[0];
+        match (level.victim.is_some(), level.streams.is_some()) {
+            (true, false) => Shape::Victim,
+            (false, true) => Shape::Stream,
+            _ => Shape::Jouppi,
+        }
     }
 }
 
@@ -733,32 +738,42 @@ impl MemoryModel for SidecarCache {
         let level = &self.hierarchy.levels[0];
         let demand = self.hierarchy.demand;
         let main_hits = demand.hits - level.victim_hits - level.stream_hits;
-        let mut m = ModelStats::single(self.section.name(), demand);
-        m.extras = match self.section {
-            SidecarSection::Victim => vec![
-                extra("main-hits", main_hits),
-                extra("victim-hits", level.victim_hits),
-            ],
-            SidecarSection::Stream => {
+        let (name, mut extras) = match self.shape() {
+            Shape::Victim => (
+                "victim",
+                vec![
+                    extra("main-hits", main_hits),
+                    extra("victim-hits", level.victim_hits),
+                ],
+            ),
+            Shape::Stream => {
                 // A buffer always holds `depth` blocks, and every full
                 // miss after the first `capacity` reallocates one buffer,
                 // flushing its blocks unused.
                 let flushed = level.streams.as_ref().map_or(0, |s| {
                     s.depth as u64 * demand.misses.saturating_sub(s.capacity as u64)
                 });
-                vec![
-                    extra("cache-hits", main_hits),
-                    extra("stream-hits", level.stream_hits),
-                    extra("flushed-unused", flushed),
-                ]
+                (
+                    "stream",
+                    vec![
+                        extra("cache-hits", main_hits),
+                        extra("stream-hits", level.stream_hits),
+                        extra("flushed-unused", flushed),
+                    ],
+                )
             }
-            SidecarSection::Jouppi => vec![
-                extra("main-hits", main_hits),
-                extra("victim-hits", level.victim_hits),
-                extra("stream-hits", level.stream_hits),
-            ],
+            Shape::Jouppi => (
+                "jouppi",
+                vec![
+                    extra("main-hits", main_hits),
+                    extra("victim-hits", level.victim_hits),
+                    extra("stream-hits", level.stream_hits),
+                ],
+            ),
         };
-        m.extras.push(extra("stores-bypassed", self.stores));
+        extras.push(extra("stores-bypassed", self.stores));
+        let mut m = ModelStats::single(name, demand);
+        m.extras = extras;
         m
     }
 
@@ -775,15 +790,15 @@ impl MemoryModel for SidecarCache {
             .streams
             .as_ref()
             .map_or((0, 0), |s| (s.capacity, s.depth));
-        match self.section {
-            SidecarSection::Victim => {
+        match self.shape() {
+            Shape::Victim => {
                 format!("victim cache: {geom} + {lines}-line fully-associative buffer")
             }
-            SidecarSection::Stream => format!(
+            Shape::Stream => format!(
                 "{geom}, {} placement + {buffers}x{depth} stream buffers",
                 level.cache.index_fn().label()
             ),
-            SidecarSection::Jouppi => format!(
+            Shape::Jouppi => format!(
                 "Jouppi organization: {geom} + {lines}-line victim buffer + \
                  {buffers}x{depth} stream buffers"
             ),
@@ -1036,7 +1051,7 @@ mod tests {
     #[test]
     fn too_many_streams_thrash_the_buffers() {
         let level = jouppi_level(None, Some((2, 4)));
-        let mut c = SidecarCache::new(SidecarSection::Stream, level).unwrap();
+        let mut c = SidecarCache::new(level).unwrap();
         // Six interleaved streams over two buffers: constant reallocation.
         for i in 0..64u64 {
             for s in 0..6u64 {
@@ -1080,7 +1095,7 @@ mod tests {
     #[test]
     fn sidecar_cache_passes_stores_through_and_counts_them() {
         let level = jouppi_level(Some(4), Some((4, 4)));
-        let mut c = SidecarCache::new(SidecarSection::Jouppi, level).unwrap();
+        let mut c = SidecarCache::new(level).unwrap();
         let read = |addr| MemRef {
             pc: 0,
             addr,
@@ -1103,6 +1118,34 @@ mod tests {
         c.reset();
         assert_eq!(c.stats().extra("stores-bypassed"), Some(0));
         assert_eq!(c.stats().demand, CacheStats::default());
+    }
+
+    #[test]
+    fn sidecar_cache_report_shape_follows_its_sidecars() {
+        for (victim, stream, name, first) in [
+            (Some(4), None, "victim", "main-hits"),
+            (None, Some((4, 4)), "stream", "cache-hits"),
+            (Some(4), Some((4, 4)), "jouppi", "main-hits"),
+        ] {
+            let c = SidecarCache::new(jouppi_level(victim, stream)).unwrap();
+            let s = c.stats();
+            assert_eq!(s.components[0].name, name);
+            assert_eq!(s.extras[0].0, first, "{name}");
+            assert_eq!(
+                s.extras.iter().any(|(k, _)| k == "victim-hits"),
+                victim.is_some(),
+                "{name}"
+            );
+            assert_eq!(
+                s.extras.iter().any(|(k, _)| k == "stream-hits"),
+                stream.is_some(),
+                "{name}"
+            );
+        }
+        // A level without sidecars, or with MSHRs, has no report shape.
+        let geom = CacheGeometry::new(8 * 1024, 32, 1).unwrap();
+        assert!(SidecarCache::new(LevelBuilder::new(geom)).is_err());
+        assert!(SidecarCache::new(LevelBuilder::new(geom).victim_buffer(4).mshrs(8)).is_err());
     }
 
     #[test]

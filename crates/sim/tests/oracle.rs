@@ -22,7 +22,7 @@ use cac_core::{CacheGeometry, IndexFunction, IndexSpec};
 use cac_sim::cache::{Cache, WritePolicy};
 use cac_sim::model::{MemoryModel, ServicePoint};
 use cac_sim::replacement::ReplacementPolicy;
-use cac_sim::stack::{Hierarchy, LevelBuilder, SidecarCache, SidecarSection};
+use cac_sim::stack::{Hierarchy, LevelBuilder, SidecarCache};
 use cac_sim::stats::CacheStats;
 use cac_trace::MemRef;
 use proptest::prelude::*;
@@ -474,12 +474,7 @@ proptest! {
             prop_assert_eq!(got.evicted, departed, "read {} ({:#x})", i, r.addr);
         }
 
-        let section = match (victim, streams) {
-            (Some(_), None) => SidecarSection::Victim,
-            (None, Some(_)) => SidecarSection::Stream,
-            _ => SidecarSection::Jouppi,
-        };
-        let mut model = SidecarCache::new(section, level()).unwrap();
+        let mut model = SidecarCache::new(level()).unwrap();
         model.run_refs(&refs);
         let s = model.stats();
         let reads = refs.iter().filter(|r| !r.is_write).count() as u64;
@@ -488,15 +483,21 @@ proptest! {
         prop_assert_eq!(s.demand.misses, misses);
         prop_assert_eq!(s.demand.writes, 0);
         prop_assert_eq!(s.extra("stores-bypassed"), Some(refs.len() as u64 - reads));
-        let main = if section == SidecarSection::Stream { "cache-hits" } else { "main-hits" };
+        let name = match (victim, streams) {
+            (Some(_), None) => "victim",
+            (None, Some(_)) => "stream",
+            _ => "jouppi",
+        };
+        prop_assert_eq!(s.components[0].name.as_str(), name);
+        let main = if name == "stream" { "cache-hits" } else { "main-hits" };
         prop_assert_eq!(s.extra(main), Some(oracle.cache.stats.hits));
-        if section != SidecarSection::Stream {
+        if victim.is_some() {
             prop_assert_eq!(s.extra("victim-hits"), Some(oracle.victim_hits));
         }
-        if section != SidecarSection::Victim {
+        if streams.is_some() {
             prop_assert_eq!(s.extra("stream-hits"), Some(oracle.stream_hits));
         }
-        if section == SidecarSection::Stream {
+        if name == "stream" {
             prop_assert_eq!(s.extra("flushed-unused"), Some(oracle.flushed));
         }
     }
