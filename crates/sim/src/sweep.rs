@@ -539,6 +539,28 @@ struct SetFamily {
     cold: u64,
 }
 
+/// Where `block` sits in a reuse stack, if it is there.
+///
+/// This scan is the engine's hot loop: a set's stack holds every
+/// distinct block the set has seen. Scanned one entry per branch, the
+/// loop is a few bytes long and its speed swung by up to ~1.4x between
+/// builds of the same source, with where the linker placed it (x86-64).
+/// Comparing four entries per step was faster than either extreme in
+/// every placement measured. A stack's blocks are distinct, so the first
+/// match is the only one.
+#[inline]
+fn stack_depth(stack: &[u64], block: u64) -> Option<usize> {
+    let mut chunks = stack.chunks_exact(4);
+    let base = match chunks.position(|c| c.contains(&block)) {
+        Some(i) => 4 * i,
+        None => stack.len() - chunks.remainder().len(),
+    };
+    stack[base..]
+        .iter()
+        .position(|&b| b == block)
+        .map(|j| base + j)
+}
+
 impl LruStackSweep {
     /// Creates an engine for `line`-byte blocks covering every given
     /// set count (duplicates are merged). A `(sets, ways)` query then
@@ -654,7 +676,7 @@ impl LruStackSweep {
         for family in &mut self.families {
             let set = (block & u64::from(family.sets - 1)) as usize;
             let stack = &mut family.stacks[set];
-            match stack.iter().position(|&b| b == block) {
+            match stack_depth(stack, block) {
                 Some(depth) => {
                     // Move-to-front; record the depth it was found at.
                     stack[..=depth].rotate_right(1);
