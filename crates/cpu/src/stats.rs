@@ -6,7 +6,7 @@ use cac_sim::tlb::TlbStats;
 use std::fmt;
 
 /// Counters produced by [`crate::Processor::run`].
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CpuStats {
     /// Committed instructions.
     pub instructions: u64,
