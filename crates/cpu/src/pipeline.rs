@@ -1,6 +1,6 @@
 //! The out-of-order pipeline: dispatch → issue → execute → commit.
 //!
-//! The model is a cycle-driven scoreboard over a reorder buffer:
+//! The model is a cycle-driven scoreboard over a reorder buffer (ROB):
 //!
 //! * **Dispatch** (4/cycle): takes instructions from the trace while ROB
 //!   space and physical registers allow. Branches are predicted here; a
@@ -19,6 +19,17 @@
 //!   already resolved.
 //! * **Commit** (4/cycle, in order): stores write through to the cache at
 //!   commit, as §3.4 prescribes.
+//!
+//! Each cycle touches only the entries that can change. The ROB is a
+//! power-of-two ring indexed by an op's dynamic index, with a parallel
+//! array of completion cycles. Issue walks only the unissued ops (the
+//! reservation station), oldest first. Forwarding scans only older
+//! in-flight stores, and the ARB check only younger in-flight loads. A
+//! cycle in which nothing commits, issues or dispatches and no load
+//! reaches the cache changes no state, so the model jumps to the next
+//! cycle at which a completion, a busy unit or fetch recovery can change
+//! something, crediting the skipped cycles to the stall counter this one
+//! charged.
 
 use crate::bpred::BranchPredictor;
 use crate::config::CpuConfig;
@@ -28,26 +39,32 @@ use cac_core::Error;
 use cac_trace::record::{OpClass, TraceOp};
 use std::collections::VecDeque;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    Waiting,
-    Issued,
-}
-
+/// A ROB entry; op `idx` lives at `rob[idx & mask]`.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     op: TraceOp,
-    idx: u64,
-    state: State,
-    completion: u64,
-    issued_at: u64,
-    /// Dynamic indices of in-flight producers of each source operand.
-    src_producers: [Option<u64>; 2],
     mispredicted: bool,
     forwarded: bool,
-    /// `addr & !7` for memory ops (ARB / forwarding granularity).
+}
+
+/// An unissued op in the waiting list.
+#[derive(Debug, Clone, Copy)]
+struct Waiting {
+    idx: u64,
+    /// Dynamic indices of in-flight producers of each source operand.
+    producers: [Option<u64>; 2],
+}
+
+/// An in-flight load or store, in a load or store queue.
+#[derive(Debug, Clone, Copy)]
+struct MemOp {
+    idx: u64,
+    /// `addr & !7` (ARB / forwarding granularity).
     word: u64,
 }
+
+/// Marks an op that has not issued in [`Processor::done_at`].
+const NOT_ISSUED: u64 = u64::MAX;
 
 /// The processor model. Create with a [`CpuConfig`], drive with
 /// [`Processor::run`].
@@ -56,16 +73,26 @@ pub struct Processor {
     config: CpuConfig,
     bpred: BranchPredictor,
     dcache: DataCache,
-    rob: VecDeque<Slot>,
+    /// Ring of `rob_entries.next_power_of_two()` slots.
+    rob: Vec<Slot>,
+    /// Cycle each in-flight op's result is ready ([`NOT_ISSUED`] before
+    /// it issues), parallel to `rob`.
+    done_at: Vec<u64>,
+    mask: u64,
+    /// Oldest in-flight op; `head_idx..next_idx` are in flight.
     head_idx: u64,
     next_idx: u64,
+    /// Unissued ops, oldest first.
+    waiting: Vec<Waiting>,
+    /// In-flight loads and stores, oldest first.
+    loads: VecDeque<MemOp>,
+    stores: VecDeque<MemOp>,
     /// Latest in-flight writer of each architectural register.
     reg_producer: [Option<u64>; 64],
     cycle: u64,
     /// Cycle at which dispatch may resume after a misprediction
     /// (`u64::MAX` while the offending branch has not issued yet).
     fetch_resume: u64,
-    pending_branch: Option<u64>,
     fu_simple_int: u64,
     fu_complex_int: u64,
     fu_ea: [u64; 2],
@@ -75,6 +102,16 @@ pub struct Processor {
     free_int_regs: u32,
     free_fp_regs: u32,
     stats: CpuStats,
+}
+
+/// Claims a functional unit free by `cycle` for `busy` cycles, returning
+/// the cycle the result is ready.
+fn claim(unit: &mut u64, cycle: u64, busy: u64, latency: u64) -> Option<u64> {
+    if *unit > cycle {
+        return None;
+    }
+    *unit = cycle + busy;
+    Some(cycle + latency)
 }
 
 impl Processor {
@@ -102,17 +139,27 @@ impl Processor {
         let bpred = BranchPredictor::new(config.bht_entries);
         let free_int_regs = config.int_phys_regs - 32;
         let free_fp_regs = config.fp_phys_regs - 32;
+        let ring = config.rob_entries.next_power_of_two();
+        let empty = Slot {
+            op: TraceOp::compute(0, OpClass::IntAlu, 0, [None, None]),
+            mispredicted: false,
+            forwarded: false,
+        };
         Ok(Processor {
             config,
             bpred,
             dcache,
-            rob: VecDeque::new(),
+            rob: vec![empty; ring],
+            done_at: vec![NOT_ISSUED; ring],
+            mask: ring as u64 - 1,
             head_idx: 0,
             next_idx: 0,
+            waiting: Vec::new(),
+            loads: VecDeque::new(),
+            stores: VecDeque::new(),
             reg_producer: [None; 64],
             cycle: 0,
             fetch_resume: 0,
-            pending_branch: None,
             fu_simple_int: 0,
             fu_complex_int: 0,
             fu_ea: [0; 2],
@@ -144,11 +191,30 @@ impl Processor {
         let cycle_bound = self.cycle + 400 * max_instructions + 100_000;
         let mut trace_done = false;
         while self.stats.instructions < target {
-            self.commit();
-            self.issue();
-            trace_done = trace_done || !self.dispatch(&mut trace);
-            if trace_done && self.rob.is_empty() {
+            let stalls = (self.stats.fetch_stall_cycles, self.stats.rob_stall_cycles);
+            let committed = self.commit();
+            let issued = self.issue();
+            let dispatched = !trace_done
+                && match self.dispatch(&mut trace) {
+                    Some(took) => took,
+                    None => {
+                        trace_done = true;
+                        true
+                    }
+                };
+            if trace_done && self.head_idx == self.next_idx {
                 break;
+            }
+            if !(committed || issued || dispatched) {
+                // Until the next timer fires, every cycle repeats this one.
+                let skipped = self
+                    .next_timer()
+                    .min(cycle_bound)
+                    .saturating_sub(self.cycle + 1);
+                self.stats.fetch_stall_cycles +=
+                    (self.stats.fetch_stall_cycles - stalls.0) * skipped;
+                self.stats.rob_stall_cycles += (self.stats.rob_stall_cycles - stalls.1) * skipped;
+                self.cycle += skipped;
             }
             self.cycle += 1;
             assert!(
@@ -157,16 +223,7 @@ impl Processor {
                 self.cycle
             );
         }
-        self.snapshot_stats();
-        self.stats
-    }
-
-    fn snapshot_stats(&mut self) {
-        self.stats.cycles = self.cycle;
-        self.stats.dcache = self.dcache.stats();
-        self.stats.predictor = self.dcache.predictor_stats();
-        self.stats.tlb = self.dcache.tlb_stats();
-        self.stats.branch_mispredictions = self.bpred.mispredictions();
+        self.stats()
     }
 
     /// Accumulated statistics so far.
@@ -185,21 +242,49 @@ impl Processor {
         &self.config
     }
 
-    fn commit(&mut self) {
+    /// The earliest cycle after this one at which an op completes, a
+    /// unit frees up or fetch recovers (`u64::MAX` if none).
+    fn next_timer(&self) -> u64 {
+        let later = |next: u64, &t: &u64| if t > self.cycle { next.min(t) } else { next };
+        // Slots of committed ops hold cycles already past, so the whole
+        // ring can be scanned.
+        let ops = self.done_at.iter().fold(u64::MAX, later);
+        [
+            self.fetch_resume,
+            self.fu_simple_int,
+            self.fu_complex_int,
+            self.fu_ea[0],
+            self.fu_ea[1],
+            self.fu_fp_add,
+            self.fu_fp_mul,
+            self.fu_fp_div,
+        ]
+        .iter()
+        .fold(ops, later)
+    }
+
+    /// Commits up to `commit_width` completed ops in order. Returns
+    /// whether any committed.
+    fn commit(&mut self) -> bool {
         let mut committed = 0;
-        while committed < self.config.commit_width {
-            let Some(front) = self.rob.front() else { break };
-            if front.state != State::Issued || front.completion > self.cycle {
+        while committed < self.config.commit_width && self.head_idx < self.next_idx {
+            let idx = self.head_idx;
+            let pos = (idx & self.mask) as usize;
+            if self.done_at[pos] > self.cycle {
                 break;
             }
-            let slot = self.rob.pop_front().expect("front exists");
+            let slot = self.rob[pos];
             self.head_idx += 1;
             committed += 1;
             self.stats.instructions += 1;
             match slot.op.class {
-                OpClass::Load => self.stats.loads += 1,
+                OpClass::Load => {
+                    self.stats.loads += 1;
+                    self.loads.pop_front();
+                }
                 OpClass::Store => {
                     self.stats.stores += 1;
+                    self.stores.pop_front();
                     // Write-through at commit.
                     self.dcache.store(slot.op.addr.unwrap_or(0));
                 }
@@ -215,202 +300,150 @@ impl Processor {
                 } else {
                     self.free_int_regs += 1;
                 }
-                if self.reg_producer[dst as usize] == Some(slot.idx) {
+                if self.reg_producer[dst as usize] == Some(idx) {
                     self.reg_producer[dst as usize] = None;
                 }
             }
         }
+        committed > 0
     }
 
     /// `true` if the producer of an operand has completed by `cycle`.
     fn producer_done(&self, producer: Option<u64>) -> bool {
-        match producer {
-            None => true,
-            Some(pidx) => {
-                if pidx < self.head_idx {
-                    return true; // committed
-                }
-                let pos = (pidx - self.head_idx) as usize;
-                match self.rob.get(pos) {
-                    None => true,
-                    Some(p) => p.state == State::Issued && p.completion <= self.cycle,
-                }
-            }
-        }
+        producer.is_none_or(|p| {
+            p < self.head_idx || self.done_at[(p & self.mask) as usize] <= self.cycle
+        })
     }
 
-    fn issue(&mut self) {
+    /// Issues up to `issue_width` waiting ops, oldest first. Returns
+    /// whether any issued or a load reached the data cache.
+    fn issue(&mut self) -> bool {
         let mut issued = 0;
         let mut ports_used = 0;
-        for pos in 0..self.rob.len() {
-            if issued == self.config.issue_width {
-                break;
-            }
-            let slot = self.rob[pos];
-            if slot.state != State::Waiting {
-                continue;
-            }
-            if !self.producer_done(slot.src_producers[0])
-                || !self.producer_done(slot.src_producers[1])
+        let mut probed = false;
+        let mut kept = 0;
+        for i in 0..self.waiting.len() {
+            let w = self.waiting[i];
+            if issued < self.config.issue_width
+                && self.producer_done(w.producers[0])
+                && self.producer_done(w.producers[1])
+                && self.try_issue(w.idx, &mut ports_used, &mut probed)
             {
-                continue;
+                issued += 1;
+            } else {
+                self.waiting[kept] = w;
+                kept += 1;
             }
-            let completion = match slot.op.class {
-                OpClass::IntAlu | OpClass::Branch => {
-                    if self.fu_simple_int > self.cycle {
-                        continue;
-                    }
-                    self.fu_simple_int = self.cycle + 1;
-                    self.cycle + 1
-                }
-                OpClass::IntMul => {
-                    if self.fu_complex_int > self.cycle {
-                        continue;
-                    }
-                    self.fu_complex_int = self.cycle + 1; // pipelined
-                    self.cycle + 9
-                }
-                OpClass::IntDiv => {
-                    if self.fu_complex_int > self.cycle {
-                        continue;
-                    }
-                    self.fu_complex_int = self.cycle + 67; // unpipelined
-                    self.cycle + 67
-                }
-                OpClass::FpAdd => {
-                    if self.fu_fp_add > self.cycle {
-                        continue;
-                    }
-                    self.fu_fp_add = self.cycle + 1;
-                    self.cycle + 4
-                }
-                OpClass::FpMul => {
-                    if self.fu_fp_mul > self.cycle {
-                        continue;
-                    }
-                    self.fu_fp_mul = self.cycle + 1;
-                    self.cycle + 4
-                }
-                OpClass::FpDiv => {
-                    if self.fu_fp_div > self.cycle {
-                        continue;
-                    }
-                    self.fu_fp_div = self.cycle + 16;
-                    self.cycle + 16
-                }
-                OpClass::FpSqrt => {
-                    if self.fu_fp_div > self.cycle {
-                        continue;
-                    }
-                    self.fu_fp_div = self.cycle + 35;
-                    self.cycle + 35
-                }
-                OpClass::Load => {
-                    if ports_used == self.config.mem_ports {
-                        continue;
-                    }
-                    let Some(ea) = self.fu_ea.iter().position(|&f| f <= self.cycle) else {
-                        continue;
-                    };
-                    // Store-buffer forwarding: an older store to the same
-                    // word whose address is resolved. Older stores with
-                    // unresolved addresses are speculatively bypassed (ARB).
-                    let forwarded = self.rob.range(..pos).rev().any(|older| {
-                        older.op.class == OpClass::Store
-                            && older.state == State::Issued
-                            && older.completion <= self.cycle
-                            && older.word == slot.word
-                    });
-                    let addr_ready = self.cycle + 1; // EA unit
-                    let completion = if forwarded {
-                        addr_ready + 1
-                    } else {
-                        match self
-                            .dcache
-                            .load(slot.op.pc, slot.op.addr.unwrap_or(0), addr_ready)
-                        {
-                            LoadResponse::Ready { at, .. } => at,
-                            LoadResponse::Blocked => continue, // retry next cycle
-                        }
-                    };
-                    self.fu_ea[ea] = self.cycle + 1;
-                    ports_used += 1;
-                    let s = &mut self.rob[pos];
-                    s.state = State::Issued;
-                    s.issued_at = self.cycle;
-                    s.completion = completion;
-                    s.forwarded = forwarded;
-                    issued += 1;
-                    continue;
-                }
-                OpClass::Store => {
-                    if ports_used == self.config.mem_ports {
-                        continue;
-                    }
-                    let Some(ea) = self.fu_ea.iter().position(|&f| f <= self.cycle) else {
-                        continue;
-                    };
-                    self.fu_ea[ea] = self.cycle + 1;
-                    ports_used += 1;
-                    let completion = self.cycle + 1; // address resolved
-                                                     // ARB: younger loads to the same word that already
-                                                     // issued must replay.
-                    for p2 in pos + 1..self.rob.len() {
-                        let replay_to = completion + 2;
-                        let younger = &mut self.rob[p2];
-                        if younger.op.class == OpClass::Load
-                            && younger.state == State::Issued
-                            && younger.word == slot.word
-                            && younger.issued_at < completion
-                        {
-                            younger.completion = younger.completion.max(replay_to);
-                            younger.forwarded = true;
-                            self.stats.memory_violations += 1;
-                        }
-                    }
-                    let s = &mut self.rob[pos];
-                    s.state = State::Issued;
-                    s.issued_at = self.cycle;
-                    s.completion = completion;
-                    issued += 1;
-                    continue;
-                }
-            };
-            // Non-memory op issued.
-            if slot.op.class == OpClass::Branch {
-                self.bpred.update(slot.op.pc, slot.op.taken);
-                if slot.mispredicted && self.pending_branch == Some(slot.idx) {
-                    self.fetch_resume = completion + 1;
-                    self.pending_branch = None;
-                }
-            }
-            let s = &mut self.rob[pos];
-            s.state = State::Issued;
-            s.issued_at = self.cycle;
-            s.completion = completion;
-            issued += 1;
         }
+        self.waiting.truncate(kept);
+        issued > 0 || probed
     }
 
-    /// Dispatches up to `fetch_width` instructions. Returns `false` when
-    /// the trace is exhausted.
-    fn dispatch<I: Iterator<Item = TraceOp>>(&mut self, trace: &mut I) -> bool {
+    /// Issues op `idx`, whose operands are ready, if its unit and (for
+    /// memory ops) a port are free this cycle, setting its completion
+    /// cycle. `probed` records a load presented to the data cache, even
+    /// one it turned away.
+    fn try_issue(&mut self, idx: u64, ports_used: &mut u32, probed: &mut bool) -> bool {
+        let pos = (idx & self.mask) as usize;
+        let Slot {
+            op, mispredicted, ..
+        } = self.rob[pos];
+        let cycle = self.cycle;
+        let done = match op.class {
+            OpClass::IntAlu | OpClass::Branch => claim(&mut self.fu_simple_int, cycle, 1, 1),
+            OpClass::IntMul => claim(&mut self.fu_complex_int, cycle, 1, 9), // pipelined
+            OpClass::IntDiv => claim(&mut self.fu_complex_int, cycle, 67, 67), // unpipelined
+            OpClass::FpAdd => claim(&mut self.fu_fp_add, cycle, 1, 4),
+            OpClass::FpMul => claim(&mut self.fu_fp_mul, cycle, 1, 4),
+            OpClass::FpDiv => claim(&mut self.fu_fp_div, cycle, 16, 16),
+            OpClass::FpSqrt => claim(&mut self.fu_fp_div, cycle, 35, 35),
+            OpClass::Load | OpClass::Store => self.issue_memory(idx, op, ports_used, probed),
+        };
+        let Some(done) = done else { return false };
+        if op.class == OpClass::Branch {
+            self.bpred.update(op.pc, op.taken);
+            if mispredicted {
+                self.fetch_resume = done + 1;
+            }
+        }
+        self.done_at[pos] = done;
+        true
+    }
+
+    /// The memory half of [`Processor::try_issue`]: claims a port and an
+    /// effective-address unit, then forwards or accesses the cache (loads)
+    /// or resolves the address and runs the ARB check (stores).
+    fn issue_memory(
+        &mut self,
+        idx: u64,
+        op: TraceOp,
+        ports_used: &mut u32,
+        probed: &mut bool,
+    ) -> Option<u64> {
+        if *ports_used == self.config.mem_ports {
+            return None;
+        }
+        let cycle = self.cycle;
+        let ea = self.fu_ea.iter().position(|&f| f <= cycle)?;
+        let word = op.addr.map_or(0, |a| a & !7);
+        let done = if op.class == OpClass::Load {
+            // Store-buffer forwarding: an older store to the same word
+            // whose address is resolved. Older stores with unresolved
+            // addresses are speculatively bypassed (ARB).
+            let forwarded = self
+                .stores
+                .iter()
+                .take_while(|s| s.idx < idx)
+                .any(|s| s.word == word && self.done_at[(s.idx & self.mask) as usize] <= cycle);
+            let addr_ready = cycle + 1; // EA unit
+            let done = if forwarded {
+                addr_ready + 1
+            } else {
+                *probed = true;
+                match self.dcache.load(op.pc, op.addr.unwrap_or(0), addr_ready) {
+                    LoadResponse::Ready { at, .. } => at,
+                    LoadResponse::Blocked => return None, // retry next cycle
+                }
+            };
+            self.rob[(idx & self.mask) as usize].forwarded = forwarded;
+            done
+        } else {
+            // The address resolves; younger loads to the same word that
+            // already issued must replay (ARB).
+            let done = cycle + 1;
+            for load in self.loads.iter().rev().take_while(|l| l.idx > idx) {
+                let pos = (load.idx & self.mask) as usize;
+                if load.word == word && self.done_at[pos] != NOT_ISSUED {
+                    self.done_at[pos] = self.done_at[pos].max(done + 2);
+                    self.rob[pos].forwarded = true;
+                    self.stats.memory_violations += 1;
+                }
+            }
+            done
+        };
+        self.fu_ea[ea] = cycle + 1;
+        *ports_used += 1;
+        Some(done)
+    }
+
+    /// Dispatches up to `fetch_width` instructions. Returns `None` when
+    /// the trace is exhausted, otherwise whether any instruction left the
+    /// trace.
+    fn dispatch<I: Iterator<Item = TraceOp>>(&mut self, trace: &mut I) -> Option<bool> {
         if self.cycle < self.fetch_resume {
             self.stats.fetch_stall_cycles += 1;
-            return true;
+            return Some(false);
         }
         let mut dispatched = 0;
         while dispatched < self.config.fetch_width {
-            if self.rob.len() == self.config.rob_entries {
+            if self.next_idx - self.head_idx == self.config.rob_entries as u64 {
                 self.stats.rob_stall_cycles += 1;
-                return true;
+                break;
             }
             if self.cycle < self.fetch_resume {
-                return true; // mispredicted branch just dispatched
+                break; // mispredicted branch just dispatched
             }
-            let Some(op) = trace.next() else {
-                return false;
-            };
+            let op = trace.next()?;
             // Rename: claim a physical register for the destination.
             if let Some(dst) = op.dst {
                 let pool = if dst >= 32 {
@@ -419,32 +452,21 @@ impl Processor {
                     &mut self.free_int_regs
                 };
                 if *pool == 0 {
-                    // No free register: in a real machine the op would sit
-                    // in the fetch queue; retrying next cycle is
-                    // equivalent at this fidelity. The op must not be
-                    // lost, so stash it by pushing into the ROB anyway is
-                    // wrong — instead we model the (rare, given ROB <=
-                    // free regs in the paper's configuration) case as a
-                    // single-cycle stall by ending dispatch. The op is
-                    // re-fetched because `trace` is only advanced here.
-                    // Since the iterator cannot be rewound, treat this as
-                    // unreachable for valid configurations.
+                    // Unreachable while `rob_entries <= phys_regs - 32`
+                    // (the paper's 32 <= 64 - 32): the ROB fills first.
+                    // Otherwise the op is dropped.
                     debug_assert!(
                         false,
                         "physical registers exhausted; configuration has fewer phys regs than ROB entries"
                     );
-                    return true;
+                    return Some(true);
                 }
                 *pool -= 1;
             }
-            let src_producers = [
-                op.srcs[0]
-                    .filter(|&r| r != 0)
-                    .and_then(|r| self.reg_producer[r as usize]),
-                op.srcs[1]
-                    .filter(|&r| r != 0)
-                    .and_then(|r| self.reg_producer[r as usize]),
-            ];
+            let producers = op.srcs.map(|s| {
+                s.filter(|&r| r != 0)
+                    .and_then(|r| self.reg_producer[r as usize])
+            });
             let idx = self.next_idx;
             self.next_idx += 1;
             if let Some(dst) = op.dst {
@@ -458,23 +480,25 @@ impl Processor {
                 if predicted != op.taken {
                     mispredicted = true;
                     self.fetch_resume = u64::MAX;
-                    self.pending_branch = Some(idx);
                 }
             }
-            self.rob.push_back(Slot {
+            let pos = (idx & self.mask) as usize;
+            self.rob[pos] = Slot {
                 op,
-                idx,
-                state: State::Waiting,
-                completion: 0,
-                issued_at: 0,
-                src_producers,
                 mispredicted,
                 forwarded: false,
-                word: op.addr.map_or(0, |a| a & !7),
-            });
+            };
+            self.done_at[pos] = NOT_ISSUED;
+            self.waiting.push(Waiting { idx, producers });
+            let word = op.addr.map_or(0, |a| a & !7);
+            match op.class {
+                OpClass::Load => self.loads.push_back(MemOp { idx, word }),
+                OpClass::Store => self.stores.push_back(MemOp { idx, word }),
+                _ => {}
+            }
             dispatched += 1;
         }
-        true
+        Some(dispatched > 0)
     }
 }
 

@@ -57,6 +57,8 @@ pub fn config() -> impl Strategy<Value = CpuConfig> {
 
 /// A trace of `len` ops drawn from `seed`.
 pub fn trace(seed: u64, len: usize) -> Vec<TraceOp> {
+    // A quarter to three quarters of the memory ops miss.
+    let cold_quarters = 1 + seed % 3;
     let mut x = seed | 1;
     let mut next = move || {
         x ^= x << 13;
@@ -71,7 +73,7 @@ pub fn trace(seed: u64, len: usize) -> Vec<TraceOp> {
             let int = |k: u64| (k % 5) as u8; // r0 included: never a dependence
             let fp = |k: u64| 32 + (k % 4) as u8;
             let src = |k: u64| (!k.is_multiple_of(3)).then(|| int(k >> 2));
-            let addr = if (r >> 20).is_multiple_of(4) {
+            let addr = if (r >> 20) % 4 < cold_quarters {
                 0x10_0000 + (r >> 24) % 2048 * 32
             } else {
                 0x8000 + (r >> 24) % 4 * 8
