@@ -29,7 +29,8 @@
 //! reaches the cache changes no state, so the model jumps to the next
 //! cycle at which a completion, a busy unit or fetch recovery can change
 //! something, crediting the skipped cycles to the stall counter this one
-//! charged.
+//! charged. A load turned away because every MSHR is busy retries through
+//! the cache each cycle, so such cycles are never skipped.
 
 use crate::bpred::BranchPredictor;
 use crate::config::CpuConfig;

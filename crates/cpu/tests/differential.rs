@@ -2,7 +2,7 @@
 //! (`reference`): every `CpuStats` counter must agree, on single runs and
 //! on runs split at a resume point.
 
-mod gen;
+mod random;
 mod reference;
 
 use cac_cpu::{CpuStats, Processor};
@@ -27,7 +27,7 @@ struct Coverage {
 fn matches_the_reference_pipeline() {
     let mut seen = Coverage::default();
     let cases = (
-        gen::config(),
+        random::config(),
         any::<u64>(),
         1usize..1500,
         0u64..1600,
@@ -35,26 +35,14 @@ fn matches_the_reference_pipeline() {
     );
     Runner::new(Config::with_cases(160)).run(|rng| {
         let (config, seed, len, first, second) = cases.generate(rng);
-        let trace = gen::trace(seed, len);
-        let new = |target| {
-            Processor::new(config.clone())
-                .unwrap()
-                .run(trace.iter().copied(), target)
-        };
-        let old = |target| {
-            reference::Processor::new(config.clone())
-                .unwrap()
-                .run(trace.iter().copied(), target)
-        };
-        let whole = new(first);
-        prop_assert_eq!(
-            whole,
-            old(first),
-            "{:?}, {} ops, target {}",
-            config,
-            len,
-            first
-        );
+        let trace = random::trace(seed, len);
+        let whole = Processor::new(config.clone())
+            .unwrap()
+            .run(trace.iter().copied(), first);
+        let want = reference::Processor::new(config.clone())
+            .unwrap()
+            .run(trace.iter().copied(), first);
+        prop_assert_eq!(whole, want, "{:?}, {} ops, target {}", config, len, first);
 
         // Split runs resume exactly where the reference resumes.
         let mut a = Processor::new(config.clone()).unwrap();
@@ -82,27 +70,15 @@ fn matches_the_reference_pipeline() {
         seen.fp_sqrt |= has(OpClass::FpSqrt);
         Ok(())
     });
-    let Coverage {
-        forwarded,
-        replayed,
-        blocked,
-        mispredicted,
-        int_div,
-        fp_div,
-        fp_sqrt,
-    } = &seen;
+    let c = &seen;
     assert!(
-        [
-            forwarded,
-            replayed,
-            blocked,
-            mispredicted,
-            int_div,
-            fp_div,
-            fp_sqrt
-        ]
-        .iter()
-        .all(|&&b| b),
+        c.forwarded
+            && c.replayed
+            && c.blocked
+            && c.mispredicted
+            && c.int_div
+            && c.fp_div
+            && c.fp_sqrt,
         "the cases never reached some behaviour: {seen:?}"
     );
 }

@@ -1,6 +1,6 @@
 //! Invariants of the timing core on random configurations and traces.
 
-mod gen;
+mod random;
 
 use cac_cpu::Processor;
 use proptest::prelude::*;
@@ -13,12 +13,12 @@ proptest! {
     /// width.
     #[test]
     fn commits_reach_the_target_at_commit_width_or_less(
-        config in gen::config(),
+        config in random::config(),
         seed in any::<u64>(),
         len in 0usize..1200,
         target in 0u64..1400,
     ) {
-        let trace = gen::trace(seed, len);
+        let trace = random::trace(seed, len);
         let s = Processor::new(config.clone()).unwrap().run(trace.into_iter(), target);
         let width = u64::from(config.commit_width);
         let len = len as u64;
@@ -30,11 +30,11 @@ proptest! {
     /// The same input gives the same result.
     #[test]
     fn runs_are_deterministic(
-        config in gen::config(),
+        config in random::config(),
         seed in any::<u64>(),
         len in 0usize..1200,
     ) {
-        let trace = gen::trace(seed, len);
+        let trace = random::trace(seed, len);
         let run = || Processor::new(config.clone()).unwrap().run(trace.iter().copied(), len as u64);
         prop_assert_eq!(run(), run());
     }
@@ -43,14 +43,14 @@ proptest! {
     /// end where one run to the same instruction count ends.
     #[test]
     fn resuming_equals_one_run(
-        config in gen::config(),
+        config in random::config(),
         seed in any::<u64>(),
         a in 0u64..600,
         b in 0u64..600,
     ) {
         // Longer than both runs plus anything in flight, so neither run
         // sees the trace end.
-        let trace = gen::trace(seed, 1400);
+        let trace = random::trace(seed, 1400);
         let mut split = Processor::new(config.clone()).unwrap();
         let mut it = trace.iter().copied();
         let first = split.run(it.by_ref(), a);
