@@ -452,15 +452,45 @@ struct AttemptResult {
     screened: bool,
 }
 
+/// Miss ratio of each of `members` (configs of one line-size group)
+/// from that group's stack pass: modulo-indexed configs read the stack
+/// sweep's exact set-conflict ratio, hashed/skewed ones go through the
+/// analytic conflict model (hashing decorrelates sets from address
+/// bits, which is precisely that model's assumption). Configs asking
+/// for the same `(sets, ways, placement)` share one computation.
+fn price_group(
+    stack: &LruStackSweep,
+    configs: &[ConfigColumn],
+    members: &[usize],
+) -> Vec<Option<f64>> {
+    let model = AnalyticModel::from_sweep(stack).expect("1-set family configured");
+    let mut priced: BTreeMap<(u32, u32, bool), Option<f64>> = BTreeMap::new();
+    members
+        .iter()
+        .map(|&j| {
+            let geom = configs[j].cfg.primary_geometry().expect("grouped");
+            let modulo = configs[j]
+                .cfg
+                .primary_index()
+                .is_some_and(|s| s.name() == "modulo");
+            let (sets, ways) = (geom.num_sets(), geom.ways());
+            *priced.entry((sets, ways, modulo)).or_insert_with(|| {
+                if modulo {
+                    stack.miss_ratio(sets, ways)
+                } else {
+                    model.predict(sets, ways)
+                }
+            })
+        })
+        .collect()
+}
+
 /// Runs the analytic screen for one trace: predicted miss ratio per
 /// config (`None` where the config has no primary cache to predict
 /// for), then the dominated-config mask.
 ///
 /// Configs are grouped by primary line size; each group shares one LRU
-/// stack pass over the trace. Modulo-indexed configs use the stack
-/// sweep's exact set-conflict ratio; hashed/skewed indexes use the
-/// analytic conflict model (hashing decorrelates sets from address
-/// bits, which is precisely that model's assumption).
+/// stack pass over the trace, priced by [`price_group`].
 fn screen_trace(
     trace_path: &Path,
     configs: &[ConfigColumn],
@@ -491,18 +521,8 @@ fn screen_trace(
         let mut reader = open_stream(trace_path, fault, DecodeMode::Lenient)?;
         stack.run_source(&mut reader).map_err(CorpusError::Trace)?;
         merge_skips(skipped, reader.skipped());
-        let model = AnalyticModel::from_sweep(&stack).expect("1-set family configured");
-        for &j in members {
-            let geom = configs[j].cfg.primary_geometry().expect("grouped");
-            let modulo = configs[j]
-                .cfg
-                .primary_index()
-                .is_some_and(|s| s.name() == "modulo");
-            predicted[j] = if modulo {
-                stack.miss_ratio(geom.num_sets(), geom.ways())
-            } else {
-                model.predict(geom.num_sets(), geom.ways())
-            };
+        for (&j, p) in members.iter().zip(price_group(&stack, configs, members)) {
+            predicted[j] = p;
         }
     }
     // Dominance is judged over the predictable subset only; configs the
@@ -566,19 +586,8 @@ fn degrade_cells(
         let mut reader = open_stream(trace_path, fault, DecodeMode::Lenient)?;
         stack.run_source(&mut reader).map_err(CorpusError::Trace)?;
         merge_skips(skipped, reader.skipped());
-        let model = AnalyticModel::from_sweep(&stack).expect("1-set family configured");
         let se = stack.sampling_standard_error().unwrap_or(0.0);
-        for &j in members {
-            let geom = configs[j].cfg.primary_geometry().expect("grouped");
-            let modulo = configs[j]
-                .cfg
-                .primary_index()
-                .is_some_and(|s| s.name() == "modulo");
-            let estimate = if modulo {
-                stack.miss_ratio(geom.num_sets(), geom.ways())
-            } else {
-                model.predict(geom.num_sets(), geom.ways())
-            };
+        for (&j, estimate) in members.iter().zip(price_group(&stack, configs, members)) {
             out.push((
                 j,
                 match estimate {

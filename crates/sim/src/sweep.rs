@@ -22,8 +22,11 @@
 //!   traversal maintains per-set reuse stacks and a distance histogram,
 //!   from which the miss count of *every* size × associativity of a
 //!   given line size is read off exactly — dozens of independent
-//!   replays become one traversal. An optional 1-in-K set-sampling mode
-//!   trades exactness for a further K× cost reduction on giant sweeps.
+//!   replays become one traversal. The fully-associative (1-set)
+//!   family costs O(log footprint) per reference, each multi-set family
+//!   a scan of one set's stack, and a block's first access no scan at
+//!   all. An optional 1-in-K set-sampling mode trades exactness for a
+//!   further K× cost reduction on giant sweeps.
 //!
 //! # Example
 //!
@@ -58,7 +61,8 @@ use crate::model::{MemoryModel, ModelStats};
 use cac_core::Error;
 use cac_trace::io::{IterRefSource, RefSource, DEFAULT_CHUNK_OPS};
 use cac_trace::MemRef;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -488,6 +492,18 @@ fn collect_outcomes(
 /// on the associativity, so no single stack order represents all
 /// configurations — use the [`Sweep`] engine for those.
 ///
+/// # Cost
+///
+/// One shared table records when every block was last accessed. It
+/// gives the 1-set family's depth directly, in O(log footprint) per
+/// reference with no stack to scan (Bennett & Kruskal's stack
+/// processing), and it tells whether a block was ever seen. A block
+/// seen for the first time is cold in every family, so it goes to the
+/// front of each set's stack without a scan. A block seen before is
+/// found by scanning its set's stack in each multi-set family, so those
+/// cost O(footprint / sets) per reference on average. Memory is
+/// O(footprint) per family plus the table's O(footprint).
+///
 /// # Set sampling
 ///
 /// [`LruStackSweep::with_set_sampling`] keeps only blocks whose low
@@ -520,6 +536,9 @@ pub struct LruStackSweep {
     line: u64,
     block_bits: u32,
     families: Vec<SetFamily>,
+    /// Every observed block's latest access, in time order: the 1-set
+    /// family's stack, and the first-touch test for every family.
+    recency: Recency,
     /// Sampling modulus (1 = every block) and the kept residue.
     sample_k: u64,
     refs_seen: u64,
@@ -530,7 +549,8 @@ pub struct LruStackSweep {
 #[derive(Debug, Clone)]
 struct SetFamily {
     sets: u32,
-    /// Per-set LRU stacks, MRU first. Sampled-out sets stay empty.
+    /// Per-set LRU stacks, MRU first. Sampled-out sets stay empty, and
+    /// the 1-set family has none: [`Recency`] gives its depths.
     stacks: Vec<Vec<u64>>,
     /// `hist[d]` = accesses that found their block at stack depth `d`.
     hist: Vec<u64>,
@@ -541,13 +561,13 @@ struct SetFamily {
 
 /// Where `block` sits in a reuse stack, if it is there.
 ///
-/// This scan is the engine's hot loop: a set's stack holds every
-/// distinct block the set has seen. Scanned one entry per branch, the
-/// loop is a few bytes long and its speed swung by up to ~1.4x between
-/// builds of the same source, with where the linker placed it (x86-64).
-/// Comparing four entries per step was faster than either extreme in
-/// every placement measured. A stack's blocks are distinct, so the first
-/// match is the only one.
+/// This scan is the per-set families' hot loop: a set's stack holds
+/// every distinct block the set has seen. Scanned one entry per branch,
+/// the loop is a few bytes long and its speed swung by up to ~1.4x
+/// between builds of the same source, with where the linker placed it
+/// (x86-64). Comparing four entries per step was faster than either
+/// extreme in every placement measured. A stack's blocks are distinct,
+/// so the first match is the only one.
 #[inline]
 fn stack_depth(stack: &[u64], block: u64) -> Option<usize> {
     let mut chunks = stack.chunks_exact(4);
@@ -559,6 +579,173 @@ fn stack_depth(stack: &[u64], block: u64) -> Option<usize> {
         .iter()
         .position(|&b| b == block)
         .map(|j| base + j)
+}
+
+/// Slots a fresh [`Recency`] starts with (a multiple of 64); each
+/// renumbering resizes the table to about twice the footprint.
+const MIN_SLOTS: usize = 256;
+
+/// Multiplicative hashing for block numbers: one multiply, with the
+/// well-mixed high half rotated down to the low bits `HashMap` takes
+/// its bucket index from. Block numbers come from traces, and a trace
+/// crafted to collide them would slow each lookup to O(footprint), the
+/// cost every reference paid when the 1-set family scanned a stack.
+#[derive(Debug, Default, Clone, Copy)]
+struct BlockHasher(u64);
+
+impl Hasher for BlockHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(32);
+    }
+}
+
+/// The order of every observed block's latest access: the
+/// fully-associative LRU stack, without a stack to scan (Bennett &
+/// Kruskal's stack processing).
+///
+/// Each access takes the next *slot*, and a slot is live while it holds
+/// some block's latest access. A block last accessed at slot `s` sits
+/// at stack depth "live slots after `s`", the number of distinct blocks
+/// accessed since. Live bits are kept 64 slots to a word, and a Fenwick
+/// tree counts the live slots of every word before the one being
+/// filled, so a depth costs O(log footprint): a popcount in the block's
+/// word plus a prefix sum over words. Reuse within the last 64 accesses
+/// touches only the word being filled. When the slots run out, the live
+/// ones are renumbered in time order into a table of about twice the
+/// footprint, so memory stays O(footprint) and renumbering costs O(1)
+/// per reference, amortized.
+#[derive(Debug, Clone)]
+struct Recency {
+    /// Block -> its entry, numbered in order of first access.
+    entry_of: HashMap<u64, u32, BuildHasherDefault<BlockHasher>>,
+    /// Entry -> slot of its block's latest access.
+    slot_of: Vec<u32>,
+    /// Slot -> the entry whose latest access it holds, where live.
+    owner: Vec<u32>,
+    /// Live bits, 64 slots to a word.
+    live: Vec<u64>,
+    /// Fenwick tree over the live counts of the *sealed* words, those
+    /// before `next / 64`; node `i` covers words `i - lowbit(i) .. i`.
+    tree: Vec<u32>,
+    /// The next unused slot.
+    next: usize,
+}
+
+impl Recency {
+    fn new() -> Self {
+        Recency {
+            entry_of: HashMap::default(),
+            slot_of: Vec::new(),
+            owner: vec![0; MIN_SLOTS],
+            live: vec![0; MIN_SLOTS / 64],
+            tree: vec![0; MIN_SLOTS / 64 + 1],
+            next: 0,
+        }
+    }
+
+    /// Records an access to `block` and returns its fully-associative
+    /// stack depth, or `None` on its first access.
+    fn touch(&mut self, block: u64) -> Option<usize> {
+        if self.next == self.owner.len() {
+            self.renumber();
+        }
+        let slot = self.next;
+        let fresh = self.slot_of.len() as u32;
+        let entry = *self.entry_of.entry(block).or_insert(fresh);
+        let depth = if entry == fresh {
+            self.slot_of.push(slot as u32);
+            None
+        } else {
+            let last = std::mem::replace(&mut self.slot_of[entry as usize], slot as u32);
+            Some(self.unlink(last as usize))
+        };
+        self.owner[slot] = entry;
+        self.live[slot / 64] |= 1 << (slot % 64);
+        self.next += 1;
+        if self.next.is_multiple_of(64) {
+            // The word just filled is sealed: the tree counts it now.
+            let word = self.next / 64 - 1;
+            self.add(word, self.live[word].count_ones() as i32);
+        }
+        depth
+    }
+
+    /// Clears live slot `last`; returns how many live slots follow it.
+    fn unlink(&mut self, last: usize) -> usize {
+        let (word, bit) = (last / 64, last % 64);
+        let later = (self.live[word] & (u64::MAX << bit << 1)).count_ones() as usize;
+        self.live[word] &= !(1 << bit);
+        if word == self.next / 64 {
+            return later;
+        }
+        // Every live slot is in a sealed word or the word being filled,
+        // so those after `word` are all live ones minus the prefix.
+        let depth = later + self.slot_of.len() - self.prefix(word);
+        self.add(word, -1);
+        depth
+    }
+
+    /// Live slots in the sealed words `0..=word`.
+    fn prefix(&self, word: usize) -> usize {
+        let mut i = word + 1;
+        let mut n = 0;
+        while i > 0 {
+            n += self.tree[i];
+            i &= i - 1;
+        }
+        n as usize
+    }
+
+    fn add(&mut self, word: usize, delta: i32) {
+        let mut i = word + 1;
+        while i < self.tree.len() {
+            self.tree[i] = self.tree[i].wrapping_add_signed(delta);
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// Moves the live slots, in time order, to the front of a table of
+    /// about twice their number.
+    fn renumber(&mut self) {
+        let mut kept = 0;
+        for word in 0..self.live.len() {
+            let mut bits = self.live[word];
+            while bits != 0 {
+                let entry = self.owner[word * 64 + bits.trailing_zeros() as usize];
+                bits &= bits - 1;
+                self.owner[kept] = entry;
+                self.slot_of[entry as usize] = kept as u32;
+                kept += 1;
+            }
+        }
+        let slots = (2 * kept).next_multiple_of(64).max(MIN_SLOTS);
+        self.owner.resize(slots, 0);
+        let words = slots / 64;
+        self.live.clear();
+        self.live
+            .extend((0..words).map(|w| match kept.saturating_sub(64 * w) {
+                n if n >= 64 => u64::MAX,
+                n => (1 << n) - 1,
+            }));
+        // The full words are sealed, 64 live slots each.
+        let full = kept / 64;
+        self.tree.clear();
+        self.tree.extend(
+            (0..=words)
+                .map(|i| (64 * (i.min(full) - (i - (i & i.wrapping_neg())).min(full))) as u32),
+        );
+        self.next = kept;
+    }
 }
 
 impl LruStackSweep {
@@ -598,11 +785,12 @@ impl LruStackSweep {
                 .into_iter()
                 .map(|sets| SetFamily {
                     sets,
-                    stacks: vec![Vec::new(); sets as usize],
+                    stacks: vec![Vec::new(); if sets == 1 { 0 } else { sets as usize }],
                     hist: Vec::new(),
                     cold: 0,
                 })
                 .collect(),
+            recency: Recency::new(),
             sample_k: 1,
             refs_seen: 0,
             refs_sampled: 0,
@@ -673,22 +861,30 @@ impl LruStackSweep {
             return;
         }
         self.refs_sampled += 1;
+        let full = self.recency.touch(block);
         for family in &mut self.families {
-            let set = (block & u64::from(family.sets - 1)) as usize;
-            let stack = &mut family.stacks[set];
-            match stack_depth(stack, block) {
+            let depth = if family.sets == 1 {
+                full
+            } else {
+                let set = (block & u64::from(family.sets - 1)) as usize;
+                let stack = &mut family.stacks[set];
+                // A block seen before is on its set's stack; one never
+                // seen is cold in every family and needs no scan.
+                let depth = full.and_then(|_| stack_depth(stack, block));
+                match depth {
+                    Some(depth) => stack[..=depth].rotate_right(1),
+                    None => stack.insert(0, block),
+                }
+                depth
+            };
+            match depth {
                 Some(depth) => {
-                    // Move-to-front; record the depth it was found at.
-                    stack[..=depth].rotate_right(1);
                     if family.hist.len() <= depth {
                         family.hist.resize(depth + 1, 0);
                     }
                     family.hist[depth] += 1;
                 }
-                None => {
-                    family.cold += 1;
-                    stack.insert(0, block);
-                }
+                None => family.cold += 1,
             }
         }
     }
