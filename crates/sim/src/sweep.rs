@@ -626,7 +626,9 @@ impl Hasher for BlockHasher {
 /// per reference, amortized.
 #[derive(Debug, Clone)]
 struct Recency {
-    /// Block -> its entry, numbered in order of first access.
+    /// Block -> its entry, numbered in order of first access. The map
+    /// holds entries rather than slots so that renumbering rewrites
+    /// `slot_of` without a single lookup.
     entry_of: HashMap<u64, u32, BuildHasherDefault<BlockHasher>>,
     /// Entry -> slot of its block's latest access.
     slot_of: Vec<u32>,
